@@ -26,4 +26,10 @@ object Rng {
     val h = mix(mix(mix(seed) ^ walkId) ^ (hop.toLong << 20) ^ stream)
     (h >>> 11) * 1.1102230246251565e-16 // 2^-53
   }
+
+  /** A fresh uniform double in [0, 1) derived from the bits of draw `u`, for
+    * a retry after a decision on `u` was rejected.
+    */
+  def rehash(u: Double): Double =
+    (mix(java.lang.Double.doubleToRawLongBits(u)) >>> 11) * 1.1102230246251565e-16
 }

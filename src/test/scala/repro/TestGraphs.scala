@@ -24,6 +24,13 @@ object TestGraphs {
   /** Star: center 0 connected to all others. */
   def star(n: Int): CsrGraph = fromPairs(n, (1 until n).map(i => (0, i)))
 
+  /** Wheel: hub 0 joined to every vertex of the rim cycle 1-2-...-(n-1)-1.
+    * From the hub, a step back to the rim sees all three Node2vec hop
+    * distances: the return vertex, its two rim neighbors and the far rim.
+    */
+  def wheel(n: Int): CsrGraph =
+    fromPairs(n, (1 until n).map(i => (0, i)) ++ (1 until n).map(i => (i, i % (n - 1) + 1)))
+
   /** Erdős–Rényi-ish: `m` random pairs (self-loops dropped by the builder).
     * May leave isolated (dangling) vertices — intentionally.
     */

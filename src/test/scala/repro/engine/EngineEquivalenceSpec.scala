@@ -68,6 +68,14 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     assertAllEqual(bg, WalkTask.rwnv(g, walksPerVertex = 1, len = 8), secondOrderEngines)
   }
 
+  test("second-order engines agree on a wheel hub with heavy rejection (p = 0.25, q = 4)") {
+    // Rim -> hub steps accept a far rim vertex with ratio 1/16, so most of
+    // them reject several proposals, on rescaled and then rehashed draws.
+    val g = TestGraphs.wheel(80)
+    val bg = TestGraphs.blocked(g, 4)
+    assertAllEqual(bg, WalkTask.rwnv(g, p = 0.25, q = 4.0, walksPerVertex = 2, len = 16), secondOrderEngines)
+  }
+
   test("second-order engines agree with a single block") {
     val g = TestGraphs.connected(40, 60, seed = 45)
     val bg = TestGraphs.blocked(g, 1)

@@ -58,4 +58,17 @@ class RngSpec extends AnyFunSuite {
     for (i <- 0 until n) counts((Rng.unit(17, i, 0, Rng.MoveStream) * 10).toInt) += 1
     for (c <- counts) assert(math.abs(c - n / 10.0) < n * 0.01, counts.toSeq)
   }
+
+  test("rehash is deterministic, in [0, 1) and decorrelated from its input") {
+    val us = (0 until 20000).map(i => Rng.unit(19, i, 0, Rng.MoveStream))
+    val hs = us.map(Rng.rehash)
+    assert(us.map(Rng.rehash) == hs)
+    assert(hs.forall(h => h >= 0.0 && h < 1.0))
+    assert(hs.distinct.size == hs.size)
+    assert(math.abs(hs.sum / hs.size - 0.5) < 0.01)
+    val mu = us.sum / us.size; val mh = hs.sum / hs.size
+    val cov = us.zip(hs).map { case (u, h) => (u - mu) * (h - mh) }.sum / us.size
+    assert(math.abs(cov * 12) < 0.03, s"correlation ${cov * 12}")
+    assert(Rng.rehash(0.0) >= 0.0 && Rng.rehash(Math.nextDown(1.0)) < 1.0)
+  }
 }
