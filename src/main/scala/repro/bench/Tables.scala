@@ -28,8 +28,6 @@ object Tables {
         // hinges on supersteps (= length) driving GraSorw's fixed block
         // sweeps while σ_W normalizes the baselines' per-step costs.
         WalkTask.rwnv(g, walksPerVertex = 2, len = 80)
-      case "RWNV-p4q.25"  => WalkTask.rwnv(g, p = 4.0, q = 0.25, walksPerVertex = 2, len = 80)
-      case "RWNV-p.25q4"  => WalkTask.rwnv(g, p = 0.25, q = 4.0, walksPerVertex = 2, len = 80)
       case "PRNV"         => WalkTask.prnv(g)
       case "DeepWalk"     => WalkTask.deepwalk(g)
       case other          => throw new IllegalArgumentException(s"unknown task kind $other")

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
-import repro.engine.{Init, Stepping, TraceCollector, Walk, WalkEngine}
+import repro.engine.{Init, Residency, TraceCollector, Walk, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -33,11 +33,11 @@ final class BiBlockEngine(
 
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
-    val g = bg.g
     val nB = bg.nBlocks
     val storage = new SkewedWalkStorage(bg)
+    val walker = new Walker(bg, task, sim, visits, trace)
 
-    Init.run(bg, task, sim, visits, trace)(storage.persist)
+    Init.run(walker)(storage.persist)
 
     while (!storage.isEmpty) {
       sim.supersteps += 1
@@ -67,32 +67,14 @@ final class BiBlockEngine(
               val eta = buckets(i).length.toDouble / math.max(1, bg.verticesInBlock(i))
               val mode = policy.mode(i, buckets(i).length, bg.verticesInBlock(i))
               val access = BlockLoading.load(bg, i, mode, buckets(i), sim)
+              val mem = new BiBlockEngine.Pair(bg, b, i, access)
 
               var idx = 0
               while (idx < buckets(i).length) { // may grow via bucket-extending
-                var w = buckets(i)(idx)
-                idx += 1
                 // UpdateWalk: advance while the walk stays in-memory.
-                var alive = true
-                var inMem = true
-                while (alive && inMem) {
-                  val cb = bg.blockOf(w.cur)
-                  if (cb == i) access.touch(w.cur)
-                  if (w.prev >= 0 && bg.blockOf(w.prev) == i) access.touch(w.prev)
-                  val z = Stepping.sample(g, task, w, sim)
-                  if (z < 0) alive = false
-                  else {
-                    w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-                    if (visits != null) visits(z) += 1
-                    if (trace != null) trace.step(w.id, z)
-                    if (task.stopsAfter(w.id, w.hop)) alive = false
-                    else {
-                      val nb = bg.blockOf(w.cur)
-                      inMem = nb == b || nb == i
-                    }
-                  }
-                }
-                if (alive) {
+                val w = walker.advance(buckets(i)(idx), mem)
+                idx += 1
+                if (w != null) {
                   // Walk persistence — Alg. 2 case analysis.
                   val cur = bg.blockOf(w.cur)
                   val pre = bg.blockOf(w.prev)
@@ -117,5 +99,21 @@ final class BiBlockEngine(
       }
     }
     sim.snapshot
+  }
+}
+
+object BiBlockEngine {
+
+  /** The current block `b` and ancillary block `i` of a time slot; a step
+    * touches its vertices in the ancillary block, which an on-demand load
+    * may not have made resident yet.
+    */
+  private final class Pair(bg: BlockedGraph, b: Int, i: Int, access: BlockLoading.BlockAccess)
+      extends Residency {
+    def holds(block: Int): Boolean = block == b || block == i
+    override def touch(prev: Int, cur: Int): Unit = {
+      if (bg.blockOf(cur) == i) access.touch(cur)
+      if (prev >= 0 && bg.blockOf(prev) == i) access.touch(prev)
+    }
   }
 }

@@ -19,18 +19,16 @@ final class FirstOrderEngine(
     scheduling: Scheduling,
     policy: BlockLoading.Policy = BlockLoading.AlwaysFull,
     loadLog: LoadLogCollector = null,
-    engineName: String = null,
 ) extends WalkEngine {
 
-  def name: String =
-    if (engineName != null) engineName else s"FirstOrder(${scheduling.strategyName})"
+  def name: String = s"FirstOrder(${scheduling.strategyName})"
 
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     require(!task.model.isSecondOrder,
       "FirstOrderEngine only supports first-order models; use the bi-block engine")
-    val g = bg.g
     val pools = new WalkPools(bg.nBlocks)
+    val walker = new Walker(bg, task, sim, visits, trace)
 
     // First-order walks need no initialization pass: they start when their
     // source block first becomes the current block (GraphWalker behavior).
@@ -38,11 +36,8 @@ final class FirstOrderEngine(
     task.starts.foreach { case (v, count) =>
       var k = 0
       while (k < count) {
-        val w = Walk(nextId, v, -1, v, 0)
+        pools.add(bg.blockOf(v), walker.start(nextId, v))
         nextId += 1
-        if (visits != null) visits(v) += 1
-        if (trace != null) trace.start(w.id, v)
-        pools.add(bg.blockOf(v), w)
         k += 1
       }
     }
@@ -59,21 +54,13 @@ final class FirstOrderEngine(
         val access = BlockLoading.load(bg, b, mode, walks, sim)
         sim.timeSlots += 1
         sim.walkIO(walks.length)
+        val mem = new Residency {
+          def holds(block: Int): Boolean = block == b
+          override def touch(prev: Int, cur: Int): Unit = access.touch(cur)
+        }
         walks.foreach { w0 =>
-          var w = w0
-          var alive = true
-          while (alive && bg.blockOf(w.cur) == b) {
-            access.touch(w.cur)
-            val z = Stepping.sample(g, task, w, sim)
-            if (z < 0) alive = false
-            else {
-              w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-              if (visits != null) visits(z) += 1
-              if (trace != null) trace.step(w.id, z)
-              if (task.stopsAfter(w.id, w.hop)) alive = false
-            }
-          }
-          if (alive) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+          val w = walker.advance(w0, mem)
+          if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
         }
         if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
       }

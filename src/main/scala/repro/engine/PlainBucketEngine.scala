@@ -23,11 +23,11 @@ final class PlainBucketEngine extends WalkEngine {
 
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
-    val g = bg.g
     val nB = bg.nBlocks
     val pools = new WalkPools(nB)
+    val walker = new Walker(bg, task, sim, visits, trace)
 
-    Init.run(bg, task, sim, visits, trace)(w => pools.add(bg.blockOf(w.cur), w))
+    Init.run(walker)(w => pools.add(bg.blockOf(w.cur), w))
 
     val scheduler = new Scheduling.GraphWalkerMix()
     var slot = 0L
@@ -44,32 +44,13 @@ final class PlainBucketEngine extends WalkEngine {
 
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       sim.timeSlots += 1
-      var i = 0
-      while (i < nB) {
-        if (i != b && buckets(i).nonEmpty) {
-          sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
-          buckets(i).foreach { w0 =>
-            var w = w0
-            var alive = true
-            var inMem = true
-            while (alive && inMem) {
-              val z = Stepping.sample(g, task, w, sim)
-              if (z < 0) alive = false
-              else {
-                w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-                if (visits != null) visits(z) += 1
-                if (trace != null) trace.step(w.id, z)
-                if (task.stopsAfter(w.id, w.hop)) alive = false
-                else {
-                  val nb = bg.blockOf(w.cur)
-                  inMem = nb == b || nb == i
-                }
-              }
-            }
-            if (alive) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
-          }
+      for (i <- 0 until nB if i != b && buckets(i).nonEmpty) {
+        sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
+        val mem = new Residency { def holds(block: Int): Boolean = block == b || block == i }
+        buckets(i).foreach { w0 =>
+          val w = walker.advance(w0, mem)
+          if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
         }
-        i += 1
       }
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)

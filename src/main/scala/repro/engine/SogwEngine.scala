@@ -46,7 +46,8 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
         bits
       }
 
-    Init.run(bg, task, sim, visits, trace)(w => pools.add(bg.blockOf(w.cur), w))
+    val walker = new Walker(bg, task, sim, visits, trace)
+    Init.run(walker)(w => pools.add(bg.blockOf(w.cur), w))
 
     val scheduler = new Scheduling.GraphWalkerMix()
     // Two-slot block memory: a load is free if the block is still resident.
@@ -63,26 +64,20 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       sim.timeSlots += 1
       val walks = pools.drain(b)
       sim.walkIO(walks.length)
-      walks.foreach { w0 =>
-        var w = w0
-        var alive = true
-        while (alive && bg.blockOf(w.cur) == b) {
-          if (secondOrder && w.prev >= 0) {
-            val pb = bg.blockOf(w.prev)
-            val inMem = pb == b || resident.contains(pb) ||
-              (cached != null && cached.get(w.prev))
+      // A second-order step reads its previous vertex's adjacency: one light
+      // vertex I/O unless that vertex is in a resident block or the cache.
+      val mem = new Residency {
+        def holds(block: Int): Boolean = block == b
+        override def touch(prev: Int, cur: Int): Unit =
+          if (secondOrder && prev >= 0) {
+            val pb = bg.blockOf(prev)
+            val inMem = pb == b || resident.contains(pb) || (cached != null && cached.get(prev))
             if (!inMem) sim.readVertices(1)
           }
-          val z = Stepping.sample(g, task, w, sim)
-          if (z < 0) alive = false
-          else {
-            w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-            if (visits != null) visits(z) += 1
-            if (trace != null) trace.step(w.id, z)
-            if (task.stopsAfter(w.id, w.hop)) alive = false
-          }
-        }
-        if (alive) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+      }
+      walks.foreach { w0 =>
+        val w = walker.advance(w0, mem)
+        if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
       }
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)

@@ -53,18 +53,57 @@ final class TraceCollector(nWalks: Int) {
   def step(id: Long, v: Int): Unit = paths(id.toInt) += v
 }
 
-/** The one shared sampling routine: every engine advances walks through it,
-  * so trajectories are engine-independent (deterministic counter RNG) and
-  * execution cost is charged uniformly.
+/** Which blocks an engine holds in memory while it advances a walk, and
+  * what I/O a step costs to reach its previous and current vertex.
   */
-object Stepping {
+abstract class Residency {
+  def holds(block: Int): Boolean
 
-  /** Sample the next vertex for `w`; charges execution cost. Returns -1 if
-    * the walk is stuck on a dangling vertex.
+  /** Charge the I/O the step from `cur` (entered from `prev`, -1 before
+    * the first step) needs before it samples. Default: none.
     */
-  def sample(g: repro.graph.CsrGraph, task: WalkTask, w: Walk, sim: DiskSim): Int = {
-    sim.chargeStep(g.degree(w.cur), task.model.isSecondOrder && w.prev >= 0)
-    task.model.sampleNext(g, w.prev, w.cur, task.moveDraw(w.id, w.hop))
+  def touch(prev: Int, cur: Int): Unit = ()
+}
+
+/** The one walk-step kernel: every engine starts and advances walks through
+  * it, so trajectories are engine-independent (deterministic counter RNG)
+  * and execution cost, visits and traces are recorded uniformly.
+  */
+final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
+                   visits: Array[Long], trace: TraceCollector) {
+  private val g = bg.g
+  private val model = task.model
+  private val secondOrder = model.isSecondOrder
+
+  /** Create walk `id` at `src` and record its first vertex. */
+  def start(id: Long, src: Int): Walk = {
+    if (visits != null) visits(src) += 1
+    if (trace != null) trace.start(id, src)
+    Walk(id, src, -1, src, 0)
+  }
+
+  /** Step `w` while `mem` holds its current vertex's block. Returns the walk
+    * where it left memory, or null once it ended (stuck on a dangling
+    * vertex, or stopped by the task).
+    */
+  def advance(w: Walk, mem: Residency): Walk = {
+    val id = w.id
+    var prev = w.prev
+    var cur = w.cur
+    var hop = w.hop
+    while (mem.holds(bg.blockOf(cur))) {
+      mem.touch(prev, cur)
+      sim.chargeStep(g.degree(cur), secondOrder && prev >= 0)
+      val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
+      if (z < 0) return null
+      prev = cur
+      cur = z
+      hop += 1
+      if (visits != null) visits(z) += 1
+      if (trace != null) trace.step(id, z)
+      if (task.stopsAfter(id, hop)) return null
+    }
+    Walk(id, w.src, prev, cur, hop)
   }
 }
 
@@ -77,47 +116,29 @@ object Stepping {
 object Init {
 
   /** Runs initialization, invoking `persist` for every surviving walk (its
-    * current vertex is outside its source block). Returns the number of
-    * walks created.
+    * current vertex is outside its source block).
     */
-  def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
-          visits: Array[Long], trace: TraceCollector)(persist: Walk => Unit): Long = {
-    val g = bg.g
+  def run(walker: Walker)(persist: Walk => Unit): Unit = {
+    val bg = walker.bg
+    val sim = walker.sim
     // Group start vertices by block for the sequential init scan.
     val startsByBlock = Array.fill(bg.nBlocks)(new ArrayBuffer[(Int, Int)])
-    task.starts.foreach { case (v, c) => if (c > 0) startsByBlock(bg.blockOf(v)) += ((v, c)) }
+    walker.task.starts.foreach { case (v, c) => if (c > 0) startsByBlock(bg.blockOf(v)) += ((v, c)) }
     var nextId = 0L
     // Walk IDs must be identical across engines: assign in (block, start) order.
-    var b = 0
-    while (b < bg.nBlocks) {
-      if (startsByBlock(b).nonEmpty) {
-        sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
-        sim.timeSlots += 1
-        startsByBlock(b).foreach { case (v, count) =>
-          var k = 0
-          while (k < count) {
-            var w = Walk(nextId, v, -1, v, 0)
-            nextId += 1
-            if (visits != null) visits(v) += 1
-            if (trace != null) trace.start(w.id, v)
-            var alive = true
-            while (alive && bg.blockOf(w.cur) == b) {
-              val z = Stepping.sample(g, task, w, sim)
-              if (z < 0) alive = false
-              else {
-                w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-                if (visits != null) visits(z) += 1
-                if (trace != null) trace.step(w.id, z)
-                if (task.stopsAfter(w.id, w.hop)) alive = false
-              }
-            }
-            if (alive) persist(w)
-            k += 1
-          }
+    for (b <- 0 until bg.nBlocks if startsByBlock(b).nonEmpty) {
+      sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
+      sim.timeSlots += 1
+      val source = new Residency { def holds(block: Int): Boolean = block == b }
+      startsByBlock(b).foreach { case (v, count) =>
+        var k = 0
+        while (k < count) {
+          val w = walker.advance(walker.start(nextId, v), source)
+          nextId += 1
+          if (w != null) persist(w)
+          k += 1
         }
       }
-      b += 1
     }
-    nextId
   }
 }

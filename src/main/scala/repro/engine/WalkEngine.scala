@@ -12,7 +12,9 @@ import repro.walk.WalkTask
   *   - [[FirstOrderEngine]] — GraphWalker-style first-order engine (§7.8)
   *
   * All engines charge I/O and execution to the supplied [[DiskSim]] and
-  * advance walks through [[Stepping]] so trajectories are engine-invariant.
+  * start and advance walks through one [[Walker]], so trajectories are
+  * engine-invariant; an engine differs only in its [[Residency]]: which
+  * blocks are in memory and what I/O a step costs to reach its vertices.
   */
 trait WalkEngine {
   def name: String

@@ -2,7 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.engine.Walk
+import repro.disk.DiskSim
+import repro.engine.{Init, Walk, Walker}
+import repro.walk.WalkTask
 
 class SkewedWalkStorageSpec extends AnyFunSuite {
   private val g = TestGraphs.ring(40)
@@ -58,5 +60,22 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
     assert(s.isEmpty)
     s.persist(Walk(0, 5, prev = 5, cur = 15, hop = 1))
     assert(!s.isEmpty)
+  }
+
+  test("initialization leaves the skewed storage's invariants (Appendix B)") {
+    val graphs = Seq(
+      "ER" -> TestGraphs.blocked(TestGraphs.connected(120, 200, seed = 41), 6),
+      "ring" -> TestGraphs.blocked(TestGraphs.ring(60), 5),
+      "wheel" -> TestGraphs.blocked(TestGraphs.wheel(80), 4),
+      "star" -> TestGraphs.blocked(TestGraphs.star(50), 4),
+      "dangling" -> TestGraphs.blocked(TestGraphs.er(90, 120, seed = 44), 4),
+    )
+    for ((name, dbg) <- graphs) {
+      val task = WalkTask.rwnv(dbg.g, walksPerVertex = 2, len = 20)
+      val s = new SkewedWalkStorage(dbg)
+      Init.run(new Walker(dbg, task, new DiskSim(), null, null))(s.persist)
+      assert(s.pools.totalWalks > 0, name)
+      s.checkInvariants()
+    }
   }
 }

@@ -102,4 +102,40 @@ class BaselineEnginesSpec extends AnyFunSuite {
     val r = runTraced(new SogwEngine(false), bg, rwnv)
     assert(r.m.walkIOTimeSec > 0)
   }
+
+  /** (block I/Os, sequential block I/Os, vertex I/Os, steps, time slots,
+    * supersteps) of one run. Each engine differs from the others only in
+    * its Residency, so a charge that moves between engines' `touch`
+    * changes one of the pinned rows below.
+    */
+  private def ioCounts(e: WalkEngine, task: WalkTask) = {
+    val m = runTraced(e, bg, task).m
+    (m.blockIOCount, m.blockIOSeqCount, m.vertexIOCount, m.steps, m.timeSlots, m.supersteps)
+  }
+
+  test("second-order engines' I/O counts are pinned (RWNV)") {
+    val pinned = Seq(
+      (133L, 94L, 0L, 3000L, 40L, 8L),   // BiBlock(full)
+      (40L, 5L, 882L, 3000L, 40L, 8L),   // BiBlock(on-demand)
+      (218L, 115L, 0L, 3000L, 46L, 0L),  // PB
+      (60L, 5L, 1230L, 3000L, 61L, 0L),  // SOGW
+      (60L, 5L, 993L, 3000L, 61L, 0L),   // SGSC
+    )
+    for ((e, exp) <- secondOrderEngines.zip(pinned))
+      assert(ioCounts(e, rwnv) == exp, e.name)
+  }
+
+  test("first-order engines' I/O counts are pinned (DeepWalk)") {
+    val dw = WalkTask.deepwalk(g, walksPerVertex = 1, len = 20)
+    val pinned = Seq(
+      (58L, 7L, 0L, 3000L, 58L, 0L),     // GraphWalker
+      (58L, 47L, 0L, 3000L, 58L, 0L),    // Iteration
+      (59L, 49L, 0L, 3000L, 59L, 0L),    // Alphabet
+      (58L, 27L, 0L, 3000L, 58L, 0L),    // Min-Height
+      (57L, 14L, 0L, 3000L, 57L, 0L),    // Max-Sum
+      (0L, 0L, 976L, 3000L, 58L, 0L),    // Iteration, on-demand load
+    )
+    for ((e, exp) <- firstOrderEngines.zip(pinned))
+      assert(ioCounts(e, dw) == exp, e.name)
+  }
 }
