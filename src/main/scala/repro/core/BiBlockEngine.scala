@@ -1,8 +1,7 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
-import repro.engine.{Init, Residency, TraceCollector, Walk, WalkEngine, Walker}
+import repro.engine.{Init, Residency, TraceCollector, WalkBuffer, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -39,6 +38,9 @@ final class BiBlockEngine(
 
     Init.run(walker)(storage.persist)
 
+    // One bucket per ancillary block, reused across time slots.
+    val buckets = Array.fill(nB)(new WalkBuffer)
+
     while (!storage.isEmpty) {
       sim.supersteps += 1
       var b = 0
@@ -48,12 +50,11 @@ final class BiBlockEngine(
           sim.walkIO(curWalks.length) // load the associated walks (Alg. 1 l.3)
 
           // Collect buckets (Eq. 4): by the "other" block of the pair.
-          val buckets = Array.fill(nB)(new ArrayBuffer[Walk])
-          curWalks.foreach { w =>
-            val p =
-              if (bg.blockOf(w.prev) == b) bg.blockOf(w.cur)
-              else bg.blockOf(w.prev)
-            buckets(p) += w
+          var k = 0
+          while (k < curWalks.length) {
+            val pre = bg.blockOf(curWalks.prev(k))
+            buckets(if (pre == b) bg.blockOf(curWalks.cur(k)) else pre).addFrom(curWalks, k)
+            k += 1
           }
 
           // Load the current block (always full — it is shared by all
@@ -62,32 +63,33 @@ final class BiBlockEngine(
           sim.timeSlots += 1
           var i = b + 1
           while (i < nB) {
-            if (buckets(i).nonEmpty) {
+            val bucket = buckets(i)
+            if (bucket.nonEmpty) {
               val t0  = sim.wallTimeSec
-              val eta = buckets(i).length.toDouble / math.max(1, bg.verticesInBlock(i))
-              val mode = policy.mode(i, buckets(i).length, bg.verticesInBlock(i))
-              val access = BlockLoading.load(bg, i, mode, buckets(i), sim)
+              val eta = bucket.length.toDouble / math.max(1, bg.verticesInBlock(i))
+              val mode = policy.mode(i, bucket.length, bg.verticesInBlock(i))
+              val access = BlockLoading.load(bg, i, mode, bucket, sim)
               val mem = new BiBlockEngine.Pair(bg, b, i, access)
 
               var idx = 0
-              while (idx < buckets(i).length) { // may grow via bucket-extending
+              while (idx < bucket.length) {
                 // UpdateWalk: advance while the walk stays in-memory.
-                val w = walker.advance(buckets(i)(idx), mem)
-                idx += 1
-                if (w != null) {
+                if (walker.advance(bucket, idx, mem)) {
                   // Walk persistence — Alg. 2 case analysis.
-                  val cur = bg.blockOf(w.cur)
-                  val pre = bg.blockOf(w.prev)
-                  if (cur < b) { storage.persist(w); sim.walkIO(1) }
+                  val cur = bg.blockOf(bucket.cur(idx))
+                  val pre = bg.blockOf(bucket.prev(idx))
+                  if (cur < b) { storage.persist(bucket, idx); sim.walkIO(1) }
                   else if (cur < i) { // b < cur < i
-                    if (pre == b) { storage.pools.add(b, w); sim.walkIO(1) }
-                    else { storage.persist(w); sim.walkIO(1) }
+                    if (pre == b) { storage.pools.add(b, bucket, idx); sim.walkIO(1) }
+                    else { storage.persist(bucket, idx); sim.walkIO(1) }
                   } else { // cur > i
-                    if (pre == b) buckets(cur) += w // bucket-extending (l.14)
-                    else { storage.pools.add(i, w); sim.walkIO(1) }
+                    if (pre == b) buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)
+                    else { storage.pools.add(i, bucket, idx); sim.walkIO(1) }
                   }
                 }
+                idx += 1
               }
+              bucket.clear()
 
               if (loadLog != null)
                 loadLog.record(i, eta, sim.wallTimeSec - t0)

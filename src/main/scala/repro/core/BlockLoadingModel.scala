@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
-import repro.engine.Walk
+import repro.engine.WalkBuffer
 import repro.graph.BlockedGraph
 
 /** Block loading (§5): the full-load and on-demand-load methods, and the
@@ -39,7 +39,7 @@ object BlockLoading {
     *               loading (their pre/cur vertices inside `b`); ignored for
     *               full load
     */
-  def load(bg: BlockedGraph, b: Int, mode: Mode, walks: collection.Seq[Walk],
+  def load(bg: BlockedGraph, b: Int, mode: Mode, walks: WalkBuffer,
            sim: DiskSim): BlockAccess = mode match {
     case Full =>
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
@@ -49,15 +49,19 @@ object BlockLoading {
       // their CSR segmentations as light I/Os.
       val bits = new java.util.BitSet(bg.verticesInBlock(b))
       var n = 0L
-      walks.foreach { w =>
-        if (bg.blockOf(w.cur) == b) {
-          val off = w.cur - bg.blockStart(b)
+      var k = 0
+      while (k < walks.length) {
+        val cur = walks.cur(k)
+        if (bg.blockOf(cur) == b) {
+          val off = cur - bg.blockStart(b)
           if (!bits.get(off)) { bits.set(off); n += 1 }
         }
-        if (w.prev >= 0 && bg.blockOf(w.prev) == b) {
-          val off = w.prev - bg.blockStart(b)
+        val prev = walks.prev(k)
+        if (prev >= 0 && bg.blockOf(prev) == b) {
+          val off = prev - bg.blockStart(b)
           if (!bits.get(off)) { bits.set(off); n += 1 }
         }
+        k += 1
       }
       if (n > 0) sim.readVertices(n)
       new BlockAccess(bg, b, OnDemand, bits, sim)
@@ -111,10 +115,14 @@ object Regression {
   * of §5.2.2 (one run under full load, one under on-demand load).
   */
 final class LoadLogCollector {
-  final case class Sample(block: Int, eta: Double, timeSec: Double)
+  import LoadLogCollector.Sample
   val samples: ArrayBuffer[Sample] = new ArrayBuffer
   def record(block: Int, eta: Double, timeSec: Double): Unit =
     samples += Sample(block, eta, timeSec)
+}
+
+object LoadLogCollector {
+  final case class Sample(block: Int, eta: Double, timeSec: Double)
 }
 
 /** Training of the learning-based block loading model (§5.2).

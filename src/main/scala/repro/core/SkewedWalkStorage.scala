@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.engine.{Walk, WalkPools}
+import repro.engine.{WalkBuffer, WalkPools}
 import repro.graph.BlockedGraph
 
 /** Skewed walk storage (§4.3.1): a walk w_u^v lives in the pool of block
@@ -11,15 +11,18 @@ import repro.graph.BlockedGraph
 final class SkewedWalkStorage(bg: BlockedGraph) {
   val pools = new WalkPools(bg.nBlocks)
 
-  /** The association rule: min of the two blocks. Initial walks (prev = -1)
-    * cannot occur here — initialization (App. B) guarantees hop >= 1.
+  /** The association rule for record `k` of `walks`: min of the two blocks.
+    * Initial walks (prev = -1) cannot occur here — initialization (App. B)
+    * guarantees hop >= 1.
     */
-  def homeBlock(w: Walk): Int = {
-    require(w.prev >= 0, s"walk ${w.id} persisted before its first step")
-    math.min(bg.blockOf(w.prev), bg.blockOf(w.cur))
+  def homeBlock(walks: WalkBuffer, k: Int): Int = {
+    val prev = walks.prev(k)
+    require(prev >= 0, s"walk ${walks.id(k)} persisted before its first step")
+    math.min(bg.blockOf(prev), bg.blockOf(walks.cur(k)))
   }
 
-  def persist(w: Walk): Unit = pools.add(homeBlock(w), w)
+  /** Copy record `k` of `walks` into its home pool. */
+  def persist(walks: WalkBuffer, k: Int): Unit = pools.add(homeBlock(walks, k), walks, k)
 
   def isEmpty: Boolean = pools.isEmpty
 
@@ -29,10 +32,13 @@ final class SkewedWalkStorage(bg: BlockedGraph) {
   def checkInvariants(): Unit = {
     var b = 0
     while (b < bg.nBlocks) {
-      pools.pools(b).foreach { w =>
-        val pb = bg.blockOf(w.prev); val cb = bg.blockOf(w.cur)
-        require(pb != cb, s"walk ${w.id} has prev and cur in the same block $pb")
-        require(math.min(pb, cb) == b, s"walk ${w.id} in pool $b but min($pb,$cb)")
+      val pool = pools.pool(b)
+      var k = 0
+      while (k < pool.length) {
+        val pb = bg.blockOf(pool.prev(k)); val cb = bg.blockOf(pool.cur(k))
+        require(pb != cb, s"walk ${pool.id(k)} has prev and cur in the same block $pb")
+        require(math.min(pb, cb) == b, s"walk ${pool.id(k)} in pool $b but min($pb,$cb)")
+        k += 1
       }
       b += 1
     }

@@ -10,9 +10,11 @@ package repro.core
   *
   * which supports graphs up to 2^32 vertices per the fields we can address
   * here (the paper's "4.3 trillion" headline combines block id + offset),
-  * at most 1024 blocks, and 1024 steps per walk. The engines carry richer
-  * in-memory state; this codec is the persisted walk-pool format and fixes
-  * the 16-bytes-per-walk cost that the DiskSim charges for walk I/O.
+  * at most 1024 blocks, and 1024 steps per walk. The engines' walk pools
+  * hold 16-byte records of the same size ([[repro.engine.WalkBuffer]]), so
+  * the 16 bytes per walk that the DiskSim charges for walk I/O is what they
+  * store; those records carry the walk id (which the counter RNG needs) in
+  * place of the source and block fields.
   */
 object WalkEncoding {
   final val MaxBlocks = 1 << 10

@@ -34,9 +34,10 @@ final class FirstOrderEngine(
     // source block first becomes the current block (GraphWalker behavior).
     var nextId = 0L
     task.starts.foreach { case (v, count) =>
+      val pool = pools.pool(bg.blockOf(v))
       var k = 0
       while (k < count) {
-        pools.add(bg.blockOf(v), walker.start(nextId, v))
+        walker.start(nextId, v, pool)
         nextId += 1
         k += 1
       }
@@ -58,9 +59,10 @@ final class FirstOrderEngine(
           def holds(block: Int): Boolean = block == b
           override def touch(prev: Int, cur: Int): Unit = access.touch(cur)
         }
-        walks.foreach { w0 =>
-          val w = walker.advance(w0, mem)
-          if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+        var k = 0
+        while (k < walks.length) {
+          if (walker.advance(walks, k, mem)) { pools.add(bg.blockOf(walks.cur(k)), walks, k); sim.walkIO(1) }
+          k += 1
         }
         if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
       }

@@ -1,6 +1,5 @@
 package repro.engine
 
-import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
@@ -27,8 +26,10 @@ final class PlainBucketEngine extends WalkEngine {
     val pools = new WalkPools(nB)
     val walker = new Walker(bg, task, sim, visits, trace)
 
-    Init.run(walker)(w => pools.add(bg.blockOf(w.cur), w))
+    Init.run(walker)((walks, k) => pools.add(bg.blockOf(walks.cur(k)), walks, k))
 
+    // One bucket per ancillary block, reused across time slots.
+    val buckets = Array.fill(nB)(new WalkBuffer)
     val scheduler = new Scheduling.GraphWalkerMix()
     var slot = 0L
     var choice = scheduler.choose(pools.sizes, pools.minHops, slot)
@@ -39,18 +40,21 @@ final class PlainBucketEngine extends WalkEngine {
 
       // Buckets by previous block: after initialization every walk has
       // hop >= 1 and its previous vertex lies outside its current block.
-      val buckets = Array.fill(nB)(new ArrayBuffer[Walk])
-      walks.foreach(w => buckets(bg.blockOf(w.prev)) += w)
+      var k = 0
+      while (k < walks.length) { buckets(bg.blockOf(walks.prev(k))).addFrom(walks, k); k += 1 }
 
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       sim.timeSlots += 1
       for (i <- 0 until nB if i != b && buckets(i).nonEmpty) {
         sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
         val mem = new Residency { def holds(block: Int): Boolean = block == b || block == i }
-        buckets(i).foreach { w0 =>
-          val w = walker.advance(w0, mem)
-          if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+        val bucket = buckets(i)
+        var idx = 0
+        while (idx < bucket.length) {
+          if (walker.advance(bucket, idx, mem)) { pools.add(bg.blockOf(bucket.cur(idx)), bucket, idx); sim.walkIO(1) }
+          idx += 1
         }
+        bucket.clear()
       }
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)

@@ -47,7 +47,7 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       }
 
     val walker = new Walker(bg, task, sim, visits, trace)
-    Init.run(walker)(w => pools.add(bg.blockOf(w.cur), w))
+    Init.run(walker)((walks, k) => pools.add(bg.blockOf(walks.cur(k)), walks, k))
 
     val scheduler = new Scheduling.GraphWalkerMix()
     // Two-slot block memory: a load is free if the block is still resident.
@@ -75,9 +75,10 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
             if (!inMem) sim.readVertices(1)
           }
       }
-      walks.foreach { w0 =>
-        val w = walker.advance(w0, mem)
-        if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+      var k = 0
+      while (k < walks.length) {
+        if (walker.advance(walks, k, mem)) { pools.add(bg.blockOf(walks.cur(k)), walks, k); sim.walkIO(1) }
+        k += 1
       }
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)

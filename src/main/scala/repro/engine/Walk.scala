@@ -5,14 +5,80 @@ import repro.disk.DiskSim
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
-/** In-memory state of one walk.
+/** A growable buffer of walks, each a packed 128-bit record (§6.1) in two
+  * consecutive words of one `Array[Long]`:
+  *
+  *   word 0 = | walk id (40) | hop (24) |
+  *   word 1 = | previous vertex (32) | current vertex (32) |
   *
   * `hop` counts completed steps; `prev == -1` until the first step (the
-  * first transition of every model is first-order, §2.1). The persisted
-  * form is the 128-bit codec in [[repro.core.WalkEncoding]]; engines charge
-  * its 16 bytes per walk on every pool read/write.
+  * first transition of every model is first-order, §2.1). A record is the
+  * 16 bytes per walk that the engines charge on every pool read/write
+  * (`CostModel.walkBytes`). Buffers are cleared and refilled, never shrunk,
+  * so an engine's pools and buckets stop allocating once they have grown to
+  * their peak size.
   */
-final case class Walk(id: Long, src: Int, prev: Int, cur: Int, hop: Int)
+final class WalkBuffer {
+  import WalkBuffer._
+
+  private var words = new Array[Long](2 * InitialWalks)
+  private var n = 0
+  private var lowestHop = Int.MaxValue
+
+  def length: Int = n
+  def isEmpty: Boolean = n == 0
+  def nonEmpty: Boolean = n != 0
+
+  @inline def id(k: Int): Long = words(2 * k) >>> HopBits
+  @inline def hop(k: Int): Int = (words(2 * k) & HopMask).toInt
+  @inline def prev(k: Int): Int = (words(2 * k + 1) >> 32).toInt
+  @inline def cur(k: Int): Int = words(2 * k + 1).toInt
+
+  /** Smallest hop among the records appended since the last `clear`
+    * (Int.MaxValue when none). `update` does not lower it, so it is exact
+    * for a buffer that is only appended to and cleared whole — a pool.
+    */
+  def minHop: Int = lowestHop
+
+  def add(id: Long, hop: Int, prev: Int, cur: Int): Unit =
+    append(pack0(id, hop), pack1(prev, cur))
+
+  /** Append a copy of record `k` of `from`. */
+  def addFrom(from: WalkBuffer, k: Int): Unit =
+    append(from.words(2 * k), from.words(2 * k + 1))
+
+  /** Overwrite the hop and vertices of record `k`, keeping its id. */
+  def update(k: Int, hop: Int, prev: Int, cur: Int): Unit = {
+    words(2 * k) = pack0(id(k), hop)
+    words(2 * k + 1) = pack1(prev, cur)
+  }
+
+  def clear(): Unit = { n = 0; lowestHop = Int.MaxValue }
+
+  private def append(w0: Long, w1: Long): Unit = {
+    if (2 * n == words.length) words = java.util.Arrays.copyOf(words, 2 * words.length)
+    words(2 * n) = w0
+    words(2 * n + 1) = w1
+    n += 1
+    val h = (w0 & HopMask).toInt
+    if (h < lowestHop) lowestHop = h
+  }
+}
+
+object WalkBuffer {
+  private final val HopBits = 24
+  private final val HopMask = (1L << HopBits) - 1
+  private final val InitialWalks = 16
+
+  /** Walk ids are 40 bits: at most 2^40 walks per task. */
+  final val MaxWalks: Long = 1L << (64 - HopBits)
+
+  /** Hops are 24 bits: `maxLen` must stay below 2^24. */
+  final val MaxLen: Int = 1 << HopBits
+
+  @inline private def pack0(id: Long, hop: Int): Long = id << HopBits | hop
+  @inline private def pack1(prev: Int, cur: Int): Long = prev.toLong << 32 | (cur & 0xffffffffL)
+}
 
 /** Per-block walk pools ("walk pool" + disk walk storage of §3). The
   * association rule (traditional = current block; skewed = min(pre, cur)
@@ -20,9 +86,14 @@ final case class Walk(id: Long, src: Int, prev: Int, cur: Int, hop: Int)
   * summaries the scheduling strategies consume.
   */
 final class WalkPools(val nBlocks: Int) {
-  val pools: Array[ArrayBuffer[Walk]] = Array.fill(nBlocks)(new ArrayBuffer[Walk])
+  private val pools = Array.fill(nBlocks)(new WalkBuffer)
+  // The buffer the last `drain` returned; the next `drain` recycles it.
+  private var drained = new WalkBuffer
 
-  def add(b: Int, w: Walk): Unit = pools(b) += w
+  def pool(b: Int): WalkBuffer = pools(b)
+
+  /** Append a copy of record `k` of `from` to pool `b`. */
+  def add(b: Int, from: WalkBuffer, k: Int): Unit = pools(b).addFrom(from, k)
 
   def isEmpty: Boolean = pools.forall(_.isEmpty)
 
@@ -33,15 +104,20 @@ final class WalkPools(val nBlocks: Int) {
   def sizes: Array[Long] = pools.map(_.length.toLong)
 
   /** Minimum hop count per pool (Int.MaxValue for empty pools) — the
-    * Min-Height strategy's input.
+    * Min-Height strategy's input. O(N_B): each pool tracks its minimum as
+    * walks are added, and pools are only ever drained whole.
     */
-  def minHops: Array[Int] =
-    pools.map(p => if (p.isEmpty) Int.MaxValue else p.iterator.map(_.hop).min)
+  def minHops: Array[Int] = pools.map(_.minHop)
 
-  /** Remove and return the walks of pool `b`. */
-  def drain(b: Int): ArrayBuffer[Walk] = {
+  /** Remove and return the walks of pool `b`, leaving it empty. The
+    * returned buffer is valid until the next `drain`, which clears it and
+    * puts it back as an empty pool.
+    */
+  def drain(b: Int): WalkBuffer = {
     val out = pools(b)
-    pools(b) = new ArrayBuffer[Walk]
+    drained.clear()
+    pools(b) = drained
+    drained = out
     out
   }
 }
@@ -67,43 +143,51 @@ abstract class Residency {
 
 /** The one walk-step kernel: every engine starts and advances walks through
   * it, so trajectories are engine-independent (deterministic counter RNG)
-  * and execution cost, visits and traces are recorded uniformly.
+  * and execution cost, visits and traces are recorded uniformly. Walks are
+  * records of a [[WalkBuffer]]; the task must fit its id and hop fields.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
+  require(task.totalWalks <= WalkBuffer.MaxWalks,
+    s"${task.totalWalks} walks exceed the ${WalkBuffer.MaxWalks} a walk record can number")
+  require(task.maxLen < WalkBuffer.MaxLen,
+    s"maxLen ${task.maxLen} does not fit a walk record's hop field (< ${WalkBuffer.MaxLen})")
+
   private val g = bg.g
   private val model = task.model
   private val secondOrder = model.isSecondOrder
 
-  /** Create walk `id` at `src` and record its first vertex. */
-  def start(id: Long, src: Int): Walk = {
+  /** Append walk `id` at `src` to `into` and record its first vertex. */
+  def start(id: Long, src: Int, into: WalkBuffer): Unit = {
     if (visits != null) visits(src) += 1
     if (trace != null) trace.start(id, src)
-    Walk(id, src, -1, src, 0)
+    into.add(id, 0, -1, src)
   }
 
-  /** Step `w` while `mem` holds its current vertex's block. Returns the walk
-    * where it left memory, or null once it ended (stuck on a dangling
-    * vertex, or stopped by the task).
+  /** Step record `k` of `walks` in place while `mem` holds its current
+    * vertex's block. Returns true with the record at the step where the
+    * walk left memory, or false once the walk ended (stuck on a dangling
+    * vertex, or stopped by the task); an ended record is left stale.
     */
-  def advance(w: Walk, mem: Residency): Walk = {
-    val id = w.id
-    var prev = w.prev
-    var cur = w.cur
-    var hop = w.hop
+  def advance(walks: WalkBuffer, k: Int, mem: Residency): Boolean = {
+    val id = walks.id(k)
+    var prev = walks.prev(k)
+    var cur = walks.cur(k)
+    var hop = walks.hop(k)
     while (mem.holds(bg.blockOf(cur))) {
       mem.touch(prev, cur)
       sim.chargeStep(g.degree(cur), secondOrder && prev >= 0)
       val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
-      if (z < 0) return null
+      if (z < 0) return false
       prev = cur
       cur = z
       hop += 1
       if (visits != null) visits(z) += 1
       if (trace != null) trace.step(id, z)
-      if (task.stopsAfter(id, hop)) return null
+      if (task.stopsAfter(id, hop)) return false
     }
-    Walk(id, w.src, prev, cur, hop)
+    walks.update(k, hop, prev, cur)
+    true
   }
 }
 
@@ -115,15 +199,17 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   */
 object Init {
 
-  /** Runs initialization, invoking `persist` for every surviving walk (its
-    * current vertex is outside its source block).
+  /** Runs initialization, invoking `persist(walks, k)` for every surviving
+    * walk (its current vertex is outside its source block); the record is
+    * only valid during the call.
     */
-  def run(walker: Walker)(persist: Walk => Unit): Unit = {
+  def run(walker: Walker)(persist: (WalkBuffer, Int) => Unit): Unit = {
     val bg = walker.bg
     val sim = walker.sim
     // Group start vertices by block for the sequential init scan.
     val startsByBlock = Array.fill(bg.nBlocks)(new ArrayBuffer[(Int, Int)])
     walker.task.starts.foreach { case (v, c) => if (c > 0) startsByBlock(bg.blockOf(v)) += ((v, c)) }
+    val fresh = new WalkBuffer
     var nextId = 0L
     // Walk IDs must be identical across engines: assign in (block, start) order.
     for (b <- 0 until bg.nBlocks if startsByBlock(b).nonEmpty) {
@@ -133,9 +219,10 @@ object Init {
       startsByBlock(b).foreach { case (v, count) =>
         var k = 0
         while (k < count) {
-          val w = walker.advance(walker.start(nextId, v), source)
+          fresh.clear()
+          walker.start(nextId, v, fresh)
+          if (walker.advance(fresh, 0, source)) persist(fresh, 0)
           nextId += 1
-          if (w != null) persist(w)
           k += 1
         }
       }

@@ -4,7 +4,8 @@ import scala.collection.mutable.ArrayBuffer
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.{CostModel, DiskSim}
-import repro.engine.Walk
+import repro.engine.WalkBuffer
+import repro.engine.TestWalks.{walk, walks}
 
 class BlockLoadingModelSpec extends AnyFunSuite {
   private val g = TestGraphs.ring(40)
@@ -78,7 +79,7 @@ class BlockLoadingModelSpec extends AnyFunSuite {
 
   test("full load charges one block read, touch is free") {
     val s = sim()
-    val a = BlockLoading.load(bg, 1, BlockLoading.Full, Seq.empty, s)
+    val a = BlockLoading.load(bg, 1, BlockLoading.Full, new WalkBuffer, s)
     assert(s.blockIOCount == 1 && s.vertexIOCount == 0)
     a.touch(12)
     assert(s.vertexIOCount == 0)
@@ -86,12 +87,12 @@ class BlockLoadingModelSpec extends AnyFunSuite {
 
   test("on-demand load charges one light I/O per distinct activated vertex") {
     val s = sim()
-    val walks = Seq(
-      Walk(0, 0, prev = 5, cur = 12, hop = 2),  // cur in block 1
-      Walk(1, 0, prev = 13, cur = 25, hop = 2), // prev in block 1
-      Walk(2, 0, prev = 12, cur = 30, hop = 2), // prev 12 again: deduplicated
+    val ws = walks(
+      walk(0, prev = 5, cur = 12, hop = 2),  // cur in block 1
+      walk(1, prev = 13, cur = 25, hop = 2), // prev in block 1
+      walk(2, prev = 12, cur = 30, hop = 2), // prev 12 again: deduplicated
     )
-    BlockLoading.load(bg, 1, BlockLoading.OnDemand, walks, s)
+    BlockLoading.load(bg, 1, BlockLoading.OnDemand, ws, s)
     assert(s.blockIOCount == 0)
     assert(s.vertexIOCount == 2) // {12, 13}
   }
@@ -99,7 +100,7 @@ class BlockLoadingModelSpec extends AnyFunSuite {
   test("on-demand touch charges a miss once, then is resident") {
     val s = sim()
     val a = BlockLoading.load(bg, 1, BlockLoading.OnDemand,
-                              Seq(Walk(0, 0, prev = 5, cur = 12, hop = 2)), s)
+                              walk(0, prev = 5, cur = 12, hop = 2), s)
     val before = s.vertexIOCount
     a.touch(14); a.touch(14)
     assert(s.vertexIOCount == before + 1)
@@ -110,7 +111,7 @@ class BlockLoadingModelSpec extends AnyFunSuite {
   test("on-demand with no activated vertices charges nothing") {
     val s = sim()
     BlockLoading.load(bg, 2, BlockLoading.OnDemand,
-                      Seq(Walk(0, 0, prev = 1, cur = 12, hop = 2)), s)
+                      walk(0, prev = 1, cur = 12, hop = 2), s)
     assert(s.vertexIOCount == 0 && s.blockIOCount == 0)
   }
 

@@ -3,7 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.DiskSim
-import repro.engine.{Init, Walk, Walker}
+import repro.engine.{Init, Walker}
+import repro.engine.TestWalks.walk
 import repro.walk.WalkTask
 
 class SkewedWalkStorageSpec extends AnyFunSuite {
@@ -12,14 +13,14 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
 
   test("homeBlock is min of previous and current block") {
     val s = new SkewedWalkStorage(bg)
-    assert(s.homeBlock(Walk(0, 5, prev = 5, cur = 15, hop = 1)) == 0)  // blocks 0,1
-    assert(s.homeBlock(Walk(1, 5, prev = 15, cur = 5, hop = 2)) == 0)  // blocks 1,0
-    assert(s.homeBlock(Walk(2, 5, prev = 35, cur = 22, hop = 3)) == 2) // blocks 3,2
+    assert(s.homeBlock(walk(0, prev = 5, cur = 15, hop = 1), 0) == 0)  // blocks 0,1
+    assert(s.homeBlock(walk(1, prev = 15, cur = 5, hop = 2), 0) == 0)  // blocks 1,0
+    assert(s.homeBlock(walk(2, prev = 35, cur = 22, hop = 3), 0) == 2) // blocks 3,2
   }
 
   test("persist places the walk in its home pool") {
     val s = new SkewedWalkStorage(bg)
-    s.persist(Walk(0, 5, prev = 25, cur = 35, hop = 4)) // blocks 2,3 -> pool 2
+    s.persist(walk(0, prev = 25, cur = 35, hop = 4), 0) // blocks 2,3 -> pool 2
     assert(s.pools.size(2) == 1)
     assert(s.pools.size(0) == 0 && s.pools.size(3) == 0)
   }
@@ -27,38 +28,38 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
   test("pool N_B-1 can never be populated (distinct blocks)") {
     val s = new SkewedWalkStorage(bg)
     for (pb <- 0 until 4; cb <- 0 until 4 if pb != cb)
-      s.persist(Walk(pb * 4 + cb, 0, prev = pb * 10, cur = cb * 10, hop = 1))
+      s.persist(walk(pb * 4 + cb, prev = pb * 10, cur = cb * 10, hop = 1), 0)
     assert(s.pools.size(3) == 0)
   }
 
   test("rejects walks that never stepped (prev = -1)") {
     val s = new SkewedWalkStorage(bg)
-    assertThrows[IllegalArgumentException](s.persist(Walk(0, 5, prev = -1, cur = 5, hop = 0)))
+    assertThrows[IllegalArgumentException](s.persist(walk(0, prev = -1, cur = 5, hop = 0), 0))
   }
 
   test("checkInvariants passes for valid pools") {
     val s = new SkewedWalkStorage(bg)
-    s.persist(Walk(0, 5, prev = 5, cur = 15, hop = 1))
-    s.persist(Walk(1, 5, prev = 39, cur = 0, hop = 2))
+    s.persist(walk(0, prev = 5, cur = 15, hop = 1), 0)
+    s.persist(walk(1, prev = 39, cur = 0, hop = 2), 0)
     s.checkInvariants()
   }
 
   test("checkInvariants rejects a mis-pooled walk") {
     val s = new SkewedWalkStorage(bg)
-    s.pools.add(2, Walk(0, 5, prev = 5, cur = 15, hop = 1)) // belongs to pool 0
+    s.pools.add(2, walk(0, prev = 5, cur = 15, hop = 1), 0) // belongs to pool 0
     assertThrows[IllegalArgumentException](s.checkInvariants())
   }
 
   test("checkInvariants rejects same-block prev/cur") {
     val s = new SkewedWalkStorage(bg)
-    s.pools.add(0, Walk(0, 5, prev = 5, cur = 7, hop = 1))
+    s.pools.add(0, walk(0, prev = 5, cur = 7, hop = 1), 0)
     assertThrows[IllegalArgumentException](s.checkInvariants())
   }
 
   test("isEmpty reflects pool contents") {
     val s = new SkewedWalkStorage(bg)
     assert(s.isEmpty)
-    s.persist(Walk(0, 5, prev = 5, cur = 15, hop = 1))
+    s.persist(walk(0, prev = 5, cur = 15, hop = 1), 0)
     assert(!s.isEmpty)
   }
 

@@ -1,0 +1,100 @@
+package repro.engine
+
+import java.lang.management.ManagementFactory
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
+import repro.core.{BiBlockEngine, BlockLoading}
+import repro.disk.DiskSim
+import repro.walk.{Node2vecModel, WalkTask}
+
+class WalkBufferSpec extends AnyFunSuite {
+
+  test("a record round-trips every field at its limits") {
+    val b = new WalkBuffer
+    val maxId = (1L << 40) - 1
+    val maxHop = (1 << 24) - 1
+    b.add(maxId, maxHop, -1, Int.MaxValue)
+    b.add(0L, 0, Int.MaxValue, 0)
+    b.add(maxId, 0, -1, -1)
+    assert((b.id(0), b.hop(0), b.prev(0), b.cur(0)) == ((maxId, maxHop, -1, Int.MaxValue)))
+    assert((b.id(1), b.hop(1), b.prev(1), b.cur(1)) == ((0L, 0, Int.MaxValue, 0)))
+    assert((b.id(2), b.hop(2), b.prev(2), b.cur(2)) == ((maxId, 0, -1, -1)))
+    b.update(0, 7, 3, 4)
+    assert((b.id(0), b.hop(0), b.prev(0), b.cur(0)) == ((maxId, 7, 3, 4)))
+    val c = new WalkBuffer
+    c.addFrom(b, 2)
+    assert((c.id(0), c.hop(0), c.prev(0), c.cur(0)) == ((maxId, 0, -1, -1)))
+  }
+
+  test("a buffer grows past its initial capacity and keeps insertion order") {
+    val b = new WalkBuffer
+    for (k <- 0 until 1000) b.add(k.toLong, k % 7, k - 1, k + 1)
+    assert(b.length == 1000)
+    assert((0 until 1000).forall(k => b.id(k) == k && b.hop(k) == k % 7 && b.prev(k) == k - 1 && b.cur(k) == k + 1))
+    b.clear()
+    assert(b.isEmpty && b.minHop == Int.MaxValue)
+  }
+
+  test("pools track their minimum hop and reset it on drain") {
+    val p = new WalkPools(3)
+    assert(p.minHops.toSeq == Seq(Int.MaxValue, Int.MaxValue, Int.MaxValue))
+    val w = new WalkBuffer
+    w.add(0, 5, 1, 2); w.add(1, 3, 1, 2); w.add(2, 9, 1, 2)
+    p.add(1, w, 0); p.add(1, w, 1); p.add(2, w, 2)
+    assert(p.minHops.toSeq == Seq(Int.MaxValue, 3, 9))
+    assert(p.sizes.toSeq == Seq(0L, 2L, 1L))
+    val drained = p.drain(1)
+    assert(drained.length == 2 && drained.minHop == 3)
+    assert(p.minHops.toSeq == Seq(Int.MaxValue, Int.MaxValue, 9))
+    p.add(1, w, 2)
+    assert(p.minHops(1) == 9)
+  }
+
+  test("drain recycles the previously drained buffer as an empty pool") {
+    val p = new WalkPools(2)
+    val w = new WalkBuffer
+    w.add(0, 1, 1, 2)
+    p.add(0, w, 0)
+    val first = p.drain(0)
+    assert(first.length == 1 && p.size(0) == 0)
+    p.add(1, w, 0)
+    val second = p.drain(1)
+    assert(second.length == 1 && first.isEmpty) // `first` is reused ...
+    assert(p.pool(1) eq first)                   // ... as pool 1's buffer
+  }
+
+  test("Walker rejects a task with more walks than a record can number") {
+    val bg = TestGraphs.blocked(TestGraphs.ring(10), 2)
+    def task(starts: Array[(Int, Int)]) = WalkTask("big", Node2vecModel(1, 1), starts, 10, 0.0, 1)
+    // 512 x (2^31 - 1) + 512 = 2^40 walks fit; one more does not.
+    val fits = Array.fill(512)((0, Int.MaxValue)) :+ ((1, 512))
+    new Walker(bg, task(fits), new DiskSim(), null, null)
+    assertThrows[IllegalArgumentException](
+      new Walker(bg, task(fits :+ ((2, 1))), new DiskSim(), null, null))
+  }
+
+  test("Walker rejects a task whose maxLen does not fit the hop field") {
+    val bg = TestGraphs.blocked(TestGraphs.ring(10), 2)
+    def task(maxLen: Int) = WalkTask("long", Node2vecModel(1, 1), Array((0, 1)), maxLen, 0.0, 1)
+    new Walker(bg, task((1 << 24) - 1), new DiskSim(), null, null)
+    assertThrows[IllegalArgumentException](new Walker(bg, task(1 << 24), new DiskSim(), null, null))
+  }
+
+  test("a BiBlock run without visits or trace allocates at most 8 bytes per step") {
+    val g = TestGraphs.connected(3000, 24000, seed = 71)
+    val bg = TestGraphs.blocked(g, 12)
+    val task = WalkTask.rwnv(g, walksPerVertex = 1, len = 40)
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    for (policy <- Seq(BlockLoading.AlwaysFull, BlockLoading.AlwaysOnDemand)) {
+      val engine = new BiBlockEngine(policy)
+      engine.run(bg, task, new DiskSim()) // warm-up
+      val sim = new DiskSim()
+      val before = mx.getCurrentThreadAllocatedBytes
+      val m = engine.run(bg, task, sim)
+      val perStep = (mx.getCurrentThreadAllocatedBytes - before).toDouble / m.steps
+      info(f"${engine.name}: $perStep%.2f B/step over ${m.steps} steps")
+      assert(m.steps >= 50000)
+      assert(perStep <= 8.0, f"${engine.name}: $perStep%.2f B/step")
+    }
+  }
+}

@@ -9,7 +9,7 @@ class GraphGenSpec extends SparkSpec {
   test("erdosRenyi produces the requested pair count in range") {
     val df = GraphGen.erdosRenyi(spark, nV = 500, nPairs = 2000, seed = 1).cache()
     assert(df.count() == 2000)
-    val mm = df.agg(min("src"), max("src"), min("dst"), max("dst")).head
+    val mm = df.agg(min("src"), max("src"), min("dst"), max("dst")).head()
     assert(mm.getInt(0) >= 0 && mm.getInt(1) < 500 && mm.getInt(2) >= 0 && mm.getInt(3) < 500)
   }
 
@@ -55,7 +55,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("rmat vertex ids stay within 2^levels") {
     val df = GraphGen.rmat(spark, levels = 8, nPairs = 3000, a = 0.57, b = 0.19, c = 0.19, seed = 6).cache()
-    val mm = df.agg(max("src"), max("dst"), min("src"), min("dst")).head
+    val mm = df.agg(max("src"), max("dst"), min("src"), min("dst")).head()
     assert(mm.getInt(0) < 256 && mm.getInt(1) < 256 && mm.getInt(2) >= 0 && mm.getInt(3) >= 0)
   }
 

@@ -98,7 +98,7 @@ class PartitionerSpec extends SparkSpec {
     // Symmetric, deduplicated directed edges mirror the CSR adjacency.
     val sym = repro.dfwalk.DataFrameWalker.adjacency(df).cache()
     val blockOf = (0 until 300).map(v => (v, bg.blockOf(v))).toDF("v", "block")
-    val row = Partitioner.edgeCutDf(spark, sym, blockOf).head
+    val row = Partitioner.edgeCutDf(spark, sym, blockOf).head()
     assert(row.getLong(0) == g.nEdgesDirected)
     assert(math.abs(row.getDouble(2) - bg.edgeCut) < 1e-12)
   }
