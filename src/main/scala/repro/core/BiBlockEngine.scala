@@ -100,7 +100,7 @@ final class BiBlockEngine(
         b += 1
       }
     }
-    sim.snapshot
+    walker.finish()
   }
 }
 

@@ -69,6 +69,6 @@ final class FirstOrderEngine(
       slot += 1
       choice = scheduling.choose(pools.sizes, pools.minHops, slot)
     }
-    sim.snapshot
+    walker.finish()
   }
 }

@@ -59,6 +59,6 @@ final class PlainBucketEngine extends WalkEngine {
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)
     }
-    sim.snapshot
+    walker.finish()
   }
 }

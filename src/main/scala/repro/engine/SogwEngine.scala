@@ -83,6 +83,6 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)
     }
-    sim.snapshot
+    walker.finish()
   }
 }

@@ -122,11 +122,128 @@ final class WalkPools(val nBlocks: Int) {
   }
 }
 
-/** Records full trajectories for the engine-equivalence tests. */
-final class TraceCollector(nWalks: Int) {
-  val paths: Array[ArrayBuffer[Int]] = Array.fill(nWalks)(new ArrayBuffer[Int])
-  def start(id: Long, src: Int): Unit = paths(id.toInt) += src
-  def step(id: Long, v: Int): Unit = paths(id.toInt) += v
+/** The walk corpus: the full trajectory of every walk of a task, the output
+  * of RWNV and DeepWalk (§7.1). Pass one to `WalkEngine.run`.
+  *
+  * During the run `start`/`step` append one word `id << 32 | vertex` to an
+  * append-only log kept in fixed-size chunks, so nothing is boxed or copied
+  * per step. `seal` (called by `Walker.finish` before `run` returns) sorts the
+  * log by walk id with one stable counting sort into a walk-major corpus:
+  * walk `w` is `vertices(offsets(w) until offsets(w + 1))`. A walk's vertices
+  * are logged in time order, so the sort keeps them in hop order. Reading the
+  * corpus before `seal`, or appending after it, throws IllegalStateException.
+  */
+final class TraceCollector(val nWalks: Int) {
+  import TraceCollector._
+  require(nWalks >= 0, s"a corpus of $nWalks walks")
+
+  private var chunks = new Array[Array[Long]](4)
+  private var nChunks = 0
+  private var chunk: Array[Long] = null
+  // Next free slot of `chunk`; ChunkSize forces a new chunk (or the sealed check).
+  private var pos = ChunkSize
+
+  private var offsets: Array[Int] = null
+  private var vertices: Array[Int] = null
+
+  def start(id: Long, src: Int): Unit = append(id, src)
+  def step(id: Long, v: Int): Unit = append(id, v)
+
+  @inline private def append(id: Long, v: Int): Unit = {
+    if (pos == ChunkSize) nextChunk()
+    chunk(pos) = id << 32 | (v & 0xffffffffL)
+    pos += 1
+  }
+
+  private def nextChunk(): Unit = {
+    if (offsets != null) throw new IllegalStateException("the corpus is sealed: a TraceCollector records one run")
+    if (nChunks.toLong * ChunkSize >= MaxVertices)
+      throw new IllegalStateException(s"a corpus holds at most $MaxVertices vertices")
+    if (nChunks == chunks.length) chunks = java.util.Arrays.copyOf(chunks, 2 * nChunks)
+    chunk = new Array[Long](ChunkSize)
+    chunks(nChunks) = chunk
+    nChunks += 1
+    pos = 0
+  }
+
+  /** Sort the log into the walk-major corpus and drop it. Idempotent. */
+  private[engine] def seal(): Unit = if (offsets == null) {
+    val n = if (nChunks == 0) 0 else (nChunks - 1) * ChunkSize + pos
+    val off = new Array[Int](nWalks + 1)
+    var c = 0
+    while (c < nChunks) {
+      val words = chunks(c)
+      val end = if (c == nChunks - 1) pos else ChunkSize
+      var k = 0
+      while (k < end) {
+        val id = (words(k) >>> 32).toInt
+        if (id < 0 || id >= nWalks) throw new IllegalStateException(s"walk $id logged in a corpus of $nWalks walks")
+        off(id + 1) += 1
+        k += 1
+      }
+      c += 1
+    }
+    var w = 0
+    while (w < nWalks) { off(w + 1) += off(w); w += 1 }
+    // Scatter with off(w) as walk w's cursor; it ends at walk w + 1's start.
+    val vs = new Array[Int](n)
+    c = 0
+    while (c < nChunks) {
+      val words = chunks(c)
+      val end = if (c == nChunks - 1) pos else ChunkSize
+      var k = 0
+      while (k < end) {
+        val id = (words(k) >>> 32).toInt
+        vs(off(id)) = words(k).toInt
+        off(id) += 1
+        k += 1
+      }
+      c += 1
+    }
+    System.arraycopy(off, 0, off, 1, nWalks)
+    off(0) = 0
+    chunks = null
+    chunk = null
+    pos = ChunkSize
+    vertices = vs
+    offsets = off
+  }
+
+  private def corpus: Array[Int] = {
+    if (offsets == null) throw new IllegalStateException("the corpus is read before the run sealed it")
+    offsets
+  }
+
+  /** Number of vertices of walk `w`: its start plus one per step. */
+  def length(w: Int): Int = { val o = corpus; o(w + 1) - o(w) }
+
+  /** Vertex of walk `w` after `h` steps. */
+  def vertex(w: Int, h: Int): Int = {
+    val o = corpus
+    if (h < 0 || h >= o(w + 1) - o(w)) throw new IndexOutOfBoundsException(s"hop $h of walk $w")
+    vertices(o(w) + h)
+  }
+
+  /** A copy of walk `w`'s trajectory. */
+  def path(w: Int): Array[Int] = { val o = corpus; java.util.Arrays.copyOfRange(vertices, o(w), o(w + 1)) }
+
+  /** The corpus as one boxed buffer per walk, built on first read; not to be
+    * modified. Kept for readers of the boxed form; prefer `path`/`vertex`.
+    */
+  lazy val paths: Array[ArrayBuffer[Int]] = Array.tabulate(nWalks) { w =>
+    val o = corpus
+    val b = new ArrayBuffer[Int](o(w + 1) - o(w))
+    var i = o(w)
+    while (i < o(w + 1)) { b += vertices(i); i += 1 }
+    b
+  }
+}
+
+object TraceCollector {
+  private[engine] final val ChunkSize = 1 << 13
+
+  /** Vertices a corpus can hold: whole chunks that fit an `Array[Int]`. */
+  private final val MaxVertices: Int = Int.MaxValue / ChunkSize * ChunkSize
 }
 
 /** Which blocks an engine holds in memory while it advances a walk, and
@@ -144,7 +261,8 @@ abstract class Residency {
 /** The one walk-step kernel: every engine starts and advances walks through
   * it, so trajectories are engine-independent (deterministic counter RNG)
   * and execution cost, visits and traces are recorded uniformly. Walks are
-  * records of a [[WalkBuffer]]; the task must fit its id and hop fields.
+  * records of a [[WalkBuffer]]; the task must fit its id and hop fields, and
+  * a corpus, if given, must hold every walk. Engines return `finish()`.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
@@ -152,6 +270,8 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     s"${task.totalWalks} walks exceed the ${WalkBuffer.MaxWalks} a walk record can number")
   require(task.maxLen < WalkBuffer.MaxLen,
     s"maxLen ${task.maxLen} does not fit a walk record's hop field (< ${WalkBuffer.MaxLen})")
+  require(trace == null || trace.nWalks >= task.totalWalks,
+    s"a corpus of ${trace.nWalks} walks cannot hold the task's ${task.totalWalks}")
 
   private val g = bg.g
   private val model = task.model
@@ -188,6 +308,12 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     }
     walks.update(k, hop, prev, cur)
     true
+  }
+
+  /** End the run: seal the corpus and return the simulated metrics. */
+  def finish(): DiskSim.Metrics = {
+    if (trace != null) trace.seal()
+    sim.snapshot
   }
 }
 

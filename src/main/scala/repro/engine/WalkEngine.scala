@@ -22,10 +22,12 @@ import repro.walk.WalkTask
 trait WalkEngine {
   def name: String
 
-  /** Run `task` to completion over `bg`.
+  /** Run `task` to completion over `bg`. Implementations return
+    * `Walker.finish()`, so a given corpus comes back sealed.
     *
     * @param visits optional per-vertex visit accumulator (PRNV estimates)
-    * @param trace  optional full-trajectory recorder (equivalence tests)
+    * @param trace  optional walk corpus (RWNV/DeepWalk output), holding at
+    *               least `task.totalWalks` walks
     */
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics

@@ -14,7 +14,7 @@ class BiBlockEngineSpec extends AnyFunSuite {
 
   test("all walks complete their full length on a connected graph") {
     val r = runTraced(new BiBlockEngine(), bg, rwnv)
-    assert(r.trace.paths.forall(_.length == 21))
+    assert((0 until r.trace.nWalks).forall(r.trace.length(_) == 21))
   }
 
   test("trajectories are valid walks") {
@@ -24,7 +24,7 @@ class BiBlockEngineSpec extends AnyFunSuite {
 
   test("visit counts equal one per trajectory position") {
     val r = runTraced(new BiBlockEngine(), bg, rwnv)
-    assert(r.visits.sum == r.trace.paths.map(_.length.toLong).sum)
+    assert(r.visits.sum == (0 until r.trace.nWalks).map(r.trace.length(_).toLong).sum)
   }
 
   test("full-load bi-block engine performs zero vertex I/Os") {
@@ -79,13 +79,13 @@ class BiBlockEngineSpec extends AnyFunSuite {
     val learned = LblTrainer.train(bg.nBlocks, fullLog, odLog)
     val lr = runTraced(new BiBlockEngine(learned), bg, rwnv)
     val fr = runTraced(new BiBlockEngine(), bg, rwnv)
-    assert(lr.trace.paths.map(_.toSeq).toSeq == fr.trace.paths.map(_.toSeq).toSeq)
+    assert(corpus(lr.trace) == corpus(fr.trace))
   }
 
   test("PRNV walk lengths follow the decay (mean near E[min(Geom, cap)])") {
     val task = WalkTask.prnv(g, nQueries = 5)
     val r = runTraced(new BiBlockEngine(), bg, task)
-    val lengths = r.trace.paths.map(_.length - 1)
+    val lengths = (0 until r.trace.nWalks).map(r.trace.length(_) - 1)
     val mean = lengths.sum.toDouble / lengths.length
     val expected = (1 - math.pow(0.85, 20)) / 0.15
     assert(math.abs(mean - expected) < 0.35, s"mean $mean expected $expected")
@@ -99,7 +99,7 @@ class BiBlockEngineSpec extends AnyFunSuite {
   test("single-walk task completes") {
     val task = WalkTask("one", repro.walk.Node2vecModel(1, 1), Array((5, 1)), 30, 0.0, 99)
     val r = runTraced(new BiBlockEngine(), bg, task)
-    assert(r.trace.paths(0).length == 31)
+    assert(r.trace.length(0) == 31)
   }
 
   test("zero-walk task terminates immediately") {
@@ -114,6 +114,6 @@ class BiBlockEngineSpec extends AnyFunSuite {
     val task = WalkTask.rwnv(dg, walksPerVertex = 1, len = 10)
     val r = runTraced(new BiBlockEngine(), dbg, task)
     for (v <- 0 until dg.nV if dg.degree(v) == 0)
-      assert(r.trace.paths(v).toSeq == Seq(v))
+      assert(r.trace.path(v).toSeq == Seq(v))
   }
 }

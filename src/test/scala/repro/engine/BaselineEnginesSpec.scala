@@ -58,7 +58,7 @@ class BaselineEnginesSpec extends AnyFunSuite {
   test("first-order engine completes all walks") {
     val dw = WalkTask.deepwalk(g, walksPerVertex = 1, len = 25)
     val r = runTraced(new FirstOrderEngine(new Scheduling.Iteration), bg, dw)
-    assert(r.trace.paths.forall(_.length == 26))
+    assert((0 until r.trace.nWalks).forall(r.trace.length(_) == 26))
     assertValidTrajectories(bg, dw, r.trace)
   }
 

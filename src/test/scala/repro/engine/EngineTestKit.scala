@@ -37,10 +37,14 @@ object EngineTestKit {
     new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysOnDemand),
   )
 
+  /** Every trajectory of a sealed corpus, in walk order. */
+  def corpus(trace: TraceCollector): Seq[Seq[Int]] = (0 until trace.nWalks).map(trace.path(_).toSeq)
+
   /** Assert each trajectory is a valid walk of the graph and task. */
   def assertValidTrajectories(bg: BlockedGraph, task: WalkTask, trace: TraceCollector): Unit = {
     val g = bg.g
-    trace.paths.zipWithIndex.foreach { case (path, id) =>
+    (0 until trace.nWalks).foreach { id =>
+      val path = trace.path(id)
       assert(path.nonEmpty, s"walk $id has no trace")
       assert(path.length <= task.maxLen + 1, s"walk $id too long: ${path.length}")
       var i = 0

@@ -97,4 +97,21 @@ class WalkBufferSpec extends AnyFunSuite {
       assert(perStep <= 8.0, f"${engine.name}: $perStep%.2f B/step")
     }
   }
+
+  test("a traced BiBlock run allocates at most 20 bytes per step, corpus included") {
+    val g = TestGraphs.connected(3000, 24000, seed = 71)
+    val bg = TestGraphs.blocked(g, 12)
+    val task = WalkTask.rwnv(g, walksPerVertex = 1, len = 40)
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val engine = new BiBlockEngine(BlockLoading.AlwaysFull)
+    engine.run(bg, task, new DiskSim(), null, new TraceCollector(task.totalWalks.toInt)) // warm-up
+    val trace = new TraceCollector(task.totalWalks.toInt)
+    val before = mx.getCurrentThreadAllocatedBytes
+    val m = engine.run(bg, task, new DiskSim(), null, trace)
+    val perStep = (mx.getCurrentThreadAllocatedBytes - before).toDouble / m.steps
+    info(f"${engine.name} traced: $perStep%.2f B/step over ${m.steps} steps")
+    assert(m.steps >= 50000)
+    assert((0 until trace.nWalks).map(trace.length(_).toLong).sum == m.steps + trace.nWalks)
+    assert(perStep <= 20.0, f"${engine.name} traced: $perStep%.2f B/step")
+  }
 }
