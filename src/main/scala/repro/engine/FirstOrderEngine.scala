@@ -27,14 +27,14 @@ final class FirstOrderEngine(
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     require(!task.model.isSecondOrder,
       "FirstOrderEngine only supports first-order models; use the bi-block engine")
-    val pools = new WalkPools(bg.nBlocks)
     val walker = new Walker(bg, task, sim, visits, trace)
+    val driver = new CurrentBlockDriver(walker, scheduling)
 
     // First-order walks need no initialization pass: they start when their
     // source block first becomes the current block (GraphWalker behavior).
     var nextId = 0L
     task.starts.foreach { case (v, count) =>
-      val pool = pools.pool(bg.blockOf(v))
+      val pool = driver.pools.pool(bg.blockOf(v))
       var k = 0
       while (k < count) {
         walker.start(nextId, v, pool)
@@ -43,32 +43,17 @@ final class FirstOrderEngine(
       }
     }
 
-    var slot = 0L
-    var choice = scheduling.choose(pools.sizes, pools.minHops, slot)
-    while (choice >= 0) {
-      val b = choice
-      val walks = pools.drain(b)
-      if (walks.nonEmpty || scheduling.loadsEmpty) {
-        val t0  = sim.wallTimeSec
-        val eta = walks.length.toDouble / math.max(1, bg.verticesInBlock(b))
-        val mode = policy.mode(b, walks.length, bg.verticesInBlock(b))
-        val access = BlockLoading.load(bg, b, mode, walks, sim)
-        sim.timeSlots += 1
-        sim.walkIO(walks.length)
-        val mem = new Residency {
-          def holds(block: Int): Boolean = block == b
-          override def touch(prev: Int, cur: Int): Unit = access.touch(cur)
-        }
-        var k = 0
-        while (k < walks.length) {
-          if (walker.advance(walks, k, mem)) { pools.add(bg.blockOf(walks.cur(k)), walks, k); sim.walkIO(1) }
-          k += 1
-        }
-        if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
-      }
-      slot += 1
-      choice = scheduling.choose(pools.sizes, pools.minHops, slot)
+    // An LBL sample's time covers the whole slot: block load, walk read, steps.
+    driver.run { (b, walks) =>
+      val t0 = sim.wallTimeSec
+      val eta = walks.length.toDouble / math.max(1, bg.verticesInBlock(b))
+      val access = BlockLoading.load(bg, b, policy.mode(b, walks.length, bg.verticesInBlock(b)), walks, sim)
+      sim.walkIO(walks.length)
+      driver.advanceAll(walks, new Residency {
+        def holds(block: Int): Boolean = block == b
+        override def touch(prev: Int, cur: Int): Unit = access.touch(cur)
+      })
+      if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
     }
-    walker.finish()
   }
 }

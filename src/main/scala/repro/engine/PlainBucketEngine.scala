@@ -23,42 +23,25 @@ final class PlainBucketEngine extends WalkEngine {
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     val nB = bg.nBlocks
-    val pools = new WalkPools(nB)
     val walker = new Walker(bg, task, sim, visits, trace)
-
-    Init.run(walker)((walks, k) => pools.add(bg.blockOf(walks.cur(k)), walks, k))
+    val driver = new CurrentBlockDriver(walker, new Scheduling.GraphWalkerMix())
+    Init.run(walker)(driver.add)
 
     // One bucket per ancillary block, reused across time slots.
     val buckets = Array.fill(nB)(new WalkBuffer)
-    val scheduler = new Scheduling.GraphWalkerMix()
-    var slot = 0L
-    var choice = scheduler.choose(pools.sizes, pools.minHops, slot)
-    while (choice >= 0) {
-      val b = choice
-      val walks = pools.drain(b)
+    driver.run { (b, walks) =>
       sim.walkIO(walks.length)
-
       // Buckets by previous block: after initialization every walk has
       // hop >= 1 and its previous vertex lies outside its current block.
       var k = 0
       while (k < walks.length) { buckets(bg.blockOf(walks.prev(k))).addFrom(walks, k); k += 1 }
 
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
-      sim.timeSlots += 1
       for (i <- 0 until nB if i != b && buckets(i).nonEmpty) {
         sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
-        val mem = new Residency { def holds(block: Int): Boolean = block == b || block == i }
-        val bucket = buckets(i)
-        var idx = 0
-        while (idx < bucket.length) {
-          if (walker.advance(bucket, idx, mem)) { pools.add(bg.blockOf(bucket.cur(idx)), bucket, idx); sim.walkIO(1) }
-          idx += 1
-        }
-        bucket.clear()
+        driver.advanceAll(buckets(i), new Residency { def holds(block: Int): Boolean = block == b || block == i })
+        buckets(i).clear()
       }
-      slot += 1
-      choice = scheduler.choose(pools.sizes, pools.minHops, slot)
     }
-    walker.finish()
   }
 }

@@ -4,84 +4,65 @@ import repro.walk.Rng
 
 /** Current-block scheduling strategies (Appendix A).
   *
-  * Strategies are consulted once per time slot with the pool summaries and
-  * return the next current block, or -1 when no walk remains. `loadsEmpty`
-  * distinguishes the Alphabet algorithm (which visits — and loads — blocks
-  * in cyclic order whether or not they hold walks) from the Iteration-based
-  * method (identical cycle, but empty blocks are skipped and not loaded).
+  * Strategies are consulted once per time slot with the walk pools and
+  * return the next current block, or -1 when no walk remains. They keep no
+  * state: the [[CurrentBlockDriver]] passes the previous choice, so one
+  * strategy serves any number of runs. `loadsEmpty` distinguishes the
+  * Alphabet algorithm (which visits — and loads — blocks in cyclic order
+  * whether or not they hold walks) from the Iteration-based method
+  * (identical cycle, but empty blocks are skipped and not loaded); no other
+  * strategy picks an empty pool.
   */
 sealed trait Scheduling {
   def strategyName: String
 
-  /** Pick the next current block. `sizes`/`minHops` are per-pool summaries;
-    * `slot` is the 0-based time-slot index (drives the GraphWalker mix).
+  /** Pick the next current block. `last` is the previous choice (-1 before
+    * the first slot); `slot` is the 0-based time-slot index (drives the
+    * GraphWalker mix).
     */
-  def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int
+  def choose(pools: WalkPools, last: Int, slot: Long): Int
 
   /** Whether a chosen empty block still incurs a block load. */
   def loadsEmpty: Boolean = false
 }
 
 object Scheduling {
-  private def argmaxSize(sizes: Array[Long]): Int = {
-    var best = -1; var bestV = 0L
-    var b = 0
-    while (b < sizes.length) {
-      if (sizes(b) > bestV) { best = b; bestV = sizes(b) }
-      b += 1
-    }
-    best
-  }
+  private def nonEmptyBlocks(pools: WalkPools): Iterator[Int] =
+    Iterator.range(0, pools.nBlocks).filter(pools.size(_) > 0)
 
-  private def argminHop(sizes: Array[Long], minHops: Array[Int]): Int = {
-    var best = -1; var bestV = Int.MaxValue
-    var b = 0
-    while (b < sizes.length) {
-      if (sizes(b) > 0 && minHops(b) < bestV) { best = b; bestV = minHops(b) }
-      b += 1
-    }
-    best
-  }
+  // Both break ties toward the lowest block.
+  private def argmaxSize(pools: WalkPools): Int =
+    nonEmptyBlocks(pools).maxByOption(pools.size).getOrElse(-1)
+
+  private def argminHop(pools: WalkPools): Int =
+    nonEmptyBlocks(pools).minByOption(pools.pool(_).minHop).getOrElse(-1)
 
   /** Cyclic 0..N_B-1 visiting every block; empty blocks are still loaded. */
   final class Alphabet extends Scheduling {
     val strategyName = "Alphabet"
-    private var cursor = -1
     override def loadsEmpty = true
-    def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int = {
-      if (sizes.forall(_ == 0)) return -1
-      cursor = (cursor + 1) % sizes.length
-      cursor
-    }
+    def choose(pools: WalkPools, last: Int, slot: Long): Int =
+      if (pools.isEmpty) -1 else (last + 1) % pools.nBlocks
   }
 
   /** Cyclic like Alphabet, but blocks without walks are skipped (§4.1). */
   final class Iteration extends Scheduling {
     val strategyName = "Iteration"
-    private var cursor = -1
-    def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int = {
-      var tried = 0
-      while (tried < sizes.length) {
-        cursor = (cursor + 1) % sizes.length
-        if (sizes(cursor) > 0) return cursor
-        tried += 1
-      }
-      -1
-    }
+    def choose(pools: WalkPools, last: Int, slot: Long): Int =
+      Iterator.range(1, pools.nBlocks + 1).map(i => (last + i) % pools.nBlocks)
+        .find(pools.size(_) > 0).getOrElse(-1)
   }
 
   /** Block holding the walk with the fewest completed steps. */
   final class MinHeight extends Scheduling {
     val strategyName = "Min-Height"
-    def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int =
-      argminHop(sizes, minHops)
+    def choose(pools: WalkPools, last: Int, slot: Long): Int = argminHop(pools)
   }
 
   /** Block holding the most walks (GraphWalker's "state-aware" core). */
   final class MaxSum extends Scheduling {
     val strategyName = "Max-Sum"
-    def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int =
-      argmaxSize(sizes)
+    def choose(pools: WalkPools, last: Int, slot: Long): Int = argmaxSize(pools)
   }
 
   /** GraphWalker's mix: Max-Sum with probability p, else Min-Height. The
@@ -89,9 +70,9 @@ object Scheduling {
     */
   final class GraphWalkerMix(p: Double = 0.8, seed: Long = 7) extends Scheduling {
     val strategyName = "GraphWalker"
-    def choose(sizes: Array[Long], minHops: Array[Int], slot: Long): Int =
-      if (Rng.unit(seed, slot, 0, Rng.MoveStream) < p) argmaxSize(sizes)
-      else argminHop(sizes, minHops)
+    def choose(pools: WalkPools, last: Int, slot: Long): Int =
+      if (Rng.unit(seed, slot, 0, Rng.MoveStream) < p) argmaxSize(pools)
+      else argminHop(pools)
   }
 
   def byName(n: String): Scheduling = n match {

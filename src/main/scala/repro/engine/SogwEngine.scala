@@ -26,7 +26,6 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     val g = bg.g
     val nB = bg.nBlocks
-    val pools = new WalkPools(nB)
     val secondOrder = task.model.isSecondOrder
 
     // SGSC static cache: top-degree vertices until the degree sum reaches
@@ -47,26 +46,21 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       }
 
     val walker = new Walker(bg, task, sim, visits, trace)
-    Init.run(walker)((walks, k) => pools.add(bg.blockOf(walks.cur(k)), walks, k))
+    val driver = new CurrentBlockDriver(walker, new Scheduling.GraphWalkerMix())
+    Init.run(walker)(driver.add)
 
-    val scheduler = new Scheduling.GraphWalkerMix()
     // Two-slot block memory: a load is free if the block is still resident.
     val resident = new java.util.ArrayDeque[Int](2)
-    var slot = 0L
-    var choice = scheduler.choose(pools.sizes, pools.minHops, slot)
-    while (choice >= 0) {
-      val b = choice
+    driver.run { (b, walks) =>
       if (!resident.contains(b)) {
         sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
         resident.addLast(b)
         if (resident.size > 2) resident.removeFirst()
       }
-      sim.timeSlots += 1
-      val walks = pools.drain(b)
       sim.walkIO(walks.length)
       // A second-order step reads its previous vertex's adjacency: one light
       // vertex I/O unless that vertex is in a resident block or the cache.
-      val mem = new Residency {
+      driver.advanceAll(walks, new Residency {
         def holds(block: Int): Boolean = block == b
         override def touch(prev: Int, cur: Int): Unit =
           if (secondOrder && prev >= 0) {
@@ -74,15 +68,7 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
             val inMem = pb == b || resident.contains(pb) || (cached != null && cached.get(prev))
             if (!inMem) sim.readVertices(1)
           }
-      }
-      var k = 0
-      while (k < walks.length) {
-        if (walker.advance(walks, k, mem)) { pools.add(bg.blockOf(walks.cur(k)), walks, k); sim.walkIO(1) }
-        k += 1
-      }
-      slot += 1
-      choice = scheduler.choose(pools.sizes, pools.minHops, slot)
+      })
     }
-    walker.finish()
   }
 }

@@ -82,8 +82,9 @@ object WalkBuffer {
 
 /** Per-block walk pools ("walk pool" + disk walk storage of §3). The
   * association rule (traditional = current block; skewed = min(pre, cur)
-  * block) is the caller's responsibility — this holds the buffers and the
-  * summaries the scheduling strategies consume.
+  * block) is the caller's responsibility. Scheduling strategies read the
+  * pools' sizes and each pool's `minHop` (exact, as pools are only appended
+  * to and drained whole).
   */
 final class WalkPools(val nBlocks: Int) {
   private val pools = Array.fill(nBlocks)(new WalkBuffer)
@@ -98,16 +99,6 @@ final class WalkPools(val nBlocks: Int) {
   def isEmpty: Boolean = pools.forall(_.isEmpty)
 
   def size(b: Int): Int = pools(b).length
-
-  def totalWalks: Long = pools.map(_.length.toLong).sum
-
-  def sizes: Array[Long] = pools.map(_.length.toLong)
-
-  /** Minimum hop count per pool (Int.MaxValue for empty pools) — the
-    * Min-Height strategy's input. O(N_B): each pool tracks its minimum as
-    * walks are added, and pools are only ever drained whole.
-    */
-  def minHops: Array[Int] = pools.map(_.minHop)
 
   /** Remove and return the walks of pool `b`, leaving it empty. The
     * returned buffer is valid until the next `drain`, which clears it and

@@ -1,47 +1,44 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.IntegerType
+import repro.graph.GraphGen
 
-/** Exercises the provided SynthData generators and the DuckDB oracle on
-  * plain SQL aggregations — guards the correctness harness itself.
+/** Exercises the DuckDB oracle on plain SQL aggregations over a small graph
+  * edge list — guards the correctness harness itself.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.001).cache()
-  private lazy val ord = SynthData.orders(spark, sf = 0.001).cache()
+  private lazy val edges = GraphGen.erdosRenyi(spark, nV = 60, nPairs = 300, seed = 14).cache()
+  // Contiguous vertex ranges of 15, like the sequential partitioner's blocks.
+  private lazy val blocks = spark.range(60)
+    .select(col("id").cast(IntegerType) as "v", (col("id") / 15).cast(IntegerType) as "block").cache()
 
-  test("lineitem row count matches DuckDB") {
+  test("edge row count matches DuckDB") {
     Oracle.assertEquivalent(
-      li.agg(count(lit(1)) as "n"),
-      "SELECT COUNT(*) AS n FROM lineitem",
-      "lineitem" -> li)
+      edges.agg(count(lit(1)) as "n"),
+      "SELECT COUNT(*) AS n FROM edges",
+      "edges" -> edges)
   }
 
   test("grouped aggregation matches DuckDB") {
-    val q = li.groupBy("l_returnflag")
-      .agg(sum("l_quantity") as "qty", count(lit(1)) as "cnt")
-      .select(col("l_returnflag"), round(col("qty"), 2) as "qty", col("cnt"))
+    val q = edges.groupBy(col("src") % 7 as "g")
+      .agg(sum("dst") as "dsum", count(lit(1)) as "cnt")
     Oracle.assertEquivalent(
       q,
-      """SELECT l_returnflag, ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty, COUNT(*) AS cnt
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT CAST(src AS INT) % 7 AS g, SUM(CAST(dst AS INT)) AS dsum, COUNT(*) AS cnt
+        |FROM edges GROUP BY CAST(src AS INT) % 7""".stripMargin,
+      "edges" -> edges)
   }
 
   test("join aggregation matches DuckDB") {
-    val q = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
-      .groupBy("o_orderstatus").agg(count(lit(1)) as "cnt")
+    val q = edges.join(blocks, edges("dst") === blocks("v"))
+      .groupBy("block").agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(
       q,
-      """SELECT o_orderstatus, COUNT(*) AS cnt
-        |FROM lineitem JOIN orders ON CAST(l_orderkey AS BIGINT) = CAST(o_orderkey AS BIGINT)
-        |GROUP BY o_orderstatus""".stripMargin,
-      "lineitem" -> li, "orders" -> ord)
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val top = z.where(col("k") <= 10).count()
-    assert(top > 20000 / 10, s"top-10 keys hold only $top rows") // far above uniform share
+      """SELECT block, COUNT(*) AS cnt
+        |FROM edges JOIN blocks ON CAST(dst AS INT) = CAST(v AS INT)
+        |GROUP BY block""".stripMargin,
+      "edges" -> edges, "blocks" -> blocks)
   }
 }

@@ -3,12 +3,23 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 
 class SchedulingSpec extends AnyFunSuite {
-  private def hops(n: Int): Array[Int] = Array.fill(n)(0)
+  /** Pools holding `sizes(b)` walks each, all at hop `hops(b)` (0 if not given). */
+  private def pools(sizes: Seq[Int], hops: Seq[Int] = Nil): WalkPools = {
+    val p = new WalkPools(sizes.length)
+    val w = new WalkBuffer
+    for ((n, b) <- sizes.zipWithIndex; k <- 0 until n) {
+      w.clear(); w.add(k, if (hops.isEmpty) 0 else hops(b), 1, 2); p.add(b, w, 0)
+    }
+    p
+  }
+
+  /** The first `n` choices of a run, each passed the one before it. */
+  private def picks(s: Scheduling, p: WalkPools, n: Int): Seq[Int] =
+    (0 until n).scanLeft(-1)((last, slot) => s.choose(p, last, slot)).tail
 
   test("Alphabet cycles through all blocks including empty ones") {
     val s = new Scheduling.Alphabet
-    val sizes = Array(1L, 0L, 2L)
-    assert((0 until 6).map(i => s.choose(sizes, hops(3), i)) == Seq(0, 1, 2, 0, 1, 2))
+    assert(picks(s, pools(Seq(1, 0, 2)), 6) == Seq(0, 1, 2, 0, 1, 2))
   }
 
   test("Alphabet loads empty blocks") {
@@ -17,13 +28,12 @@ class SchedulingSpec extends AnyFunSuite {
 
   test("Alphabet stops when all pools are empty") {
     val s = new Scheduling.Alphabet
-    assert(s.choose(Array(0L, 0L), hops(2), 0) == -1)
+    assert(s.choose(pools(Seq(0, 0)), -1, 0) == -1)
   }
 
   test("Iteration skips empty blocks") {
     val s = new Scheduling.Iteration
-    val sizes = Array(1L, 0L, 2L)
-    assert((0 until 4).map(i => s.choose(sizes, hops(3), i)) == Seq(0, 2, 0, 2))
+    assert(picks(s, pools(Seq(1, 0, 2)), 4) == Seq(0, 2, 0, 2))
   }
 
   test("Iteration does not load empty blocks") {
@@ -32,42 +42,41 @@ class SchedulingSpec extends AnyFunSuite {
 
   test("Iteration stops when all pools are empty") {
     val s = new Scheduling.Iteration
-    assert(s.choose(Array(0L, 0L, 0L), hops(3), 0) == -1)
+    assert(s.choose(pools(Seq(0, 0, 0)), -1, 0) == -1)
   }
 
   test("Iteration resumes its cycle position across calls") {
     val s = new Scheduling.Iteration
-    val sizes = Array(3L, 3L, 3L)
-    assert(s.choose(sizes, hops(3), 0) == 0)
-    assert(s.choose(sizes, hops(3), 1) == 1)
-    sizes(2) = 0
-    assert(s.choose(sizes, hops(3), 2) == 0) // 2 skipped, wraps
+    val p = pools(Seq(3, 3, 3))
+    assert(s.choose(p, -1, 0) == 0)
+    assert(s.choose(p, 0, 1) == 1)
+    p.drain(2)
+    assert(s.choose(p, 1, 2) == 0) // 2 skipped, wraps
   }
 
   test("Min-Height picks the pool with the smallest minimum hop") {
     val s = new Scheduling.MinHeight
-    assert(s.choose(Array(2L, 1L, 5L), Array(10, 3, 7), 0) == 1)
+    assert(s.choose(pools(Seq(2, 1, 5), Seq(10, 3, 7)), -1, 0) == 1)
   }
 
   test("Min-Height ignores empty pools") {
     val s = new Scheduling.MinHeight
-    assert(s.choose(Array(0L, 1L), Array(0, 9), 0) == 1)
+    assert(s.choose(pools(Seq(0, 1), Seq(0, 9)), -1, 0) == 1)
   }
 
   test("Max-Sum picks the largest pool") {
     val s = new Scheduling.MaxSum
-    assert(s.choose(Array(2L, 9L, 5L), hops(3), 0) == 1)
+    assert(s.choose(pools(Seq(2, 9, 5)), -1, 0) == 1)
   }
 
   test("Max-Sum returns -1 when everything is empty") {
-    assert(new Scheduling.MaxSum().choose(Array(0L, 0L), hops(2), 0) == -1)
+    assert(new Scheduling.MaxSum().choose(pools(Seq(0, 0)), -1, 0) == -1)
   }
 
   test("GraphWalker mix chooses Max-Sum about 80% of the time") {
     val s = new Scheduling.GraphWalkerMix(p = 0.8)
-    val sizes = Array(10L, 1L)       // Max-Sum -> 0
-    val mh = Array(5, 1)             // Min-Height -> 1
-    val picks = (0L until 2000L).map(s.choose(sizes, mh, _))
+    val p = pools(Seq(10, 1), Seq(5, 1)) // Max-Sum -> 0, Min-Height -> 1
+    val picks = (0L until 2000L).map(s.choose(p, -1, _))
     val frac0 = picks.count(_ == 0).toDouble / picks.size
     assert(math.abs(frac0 - 0.8) < 0.05, s"Max-Sum fraction $frac0")
   }
@@ -75,9 +84,9 @@ class SchedulingSpec extends AnyFunSuite {
   test("GraphWalker mix is deterministic per slot") {
     val a = new Scheduling.GraphWalkerMix()
     val b = new Scheduling.GraphWalkerMix()
-    val sizes = Array(10L, 1L); val mh = Array(5, 1)
+    val p = pools(Seq(10, 1), Seq(5, 1))
     for (slot <- 0L until 100L)
-      assert(a.choose(sizes, mh, slot) == b.choose(sizes, mh, slot))
+      assert(a.choose(p, -1, slot) == b.choose(p, -1, slot))
   }
 
   test("byName resolves all five strategies") {

@@ -37,17 +37,18 @@ class WalkBufferSpec extends AnyFunSuite {
 
   test("pools track their minimum hop and reset it on drain") {
     val p = new WalkPools(3)
-    assert(p.minHops.toSeq == Seq(Int.MaxValue, Int.MaxValue, Int.MaxValue))
+    def minHops = (0 until 3).map(p.pool(_).minHop)
+    assert(minHops == Seq(Int.MaxValue, Int.MaxValue, Int.MaxValue))
     val w = new WalkBuffer
     w.add(0, 5, 1, 2); w.add(1, 3, 1, 2); w.add(2, 9, 1, 2)
     p.add(1, w, 0); p.add(1, w, 1); p.add(2, w, 2)
-    assert(p.minHops.toSeq == Seq(Int.MaxValue, 3, 9))
-    assert(p.sizes.toSeq == Seq(0L, 2L, 1L))
+    assert(minHops == Seq(Int.MaxValue, 3, 9))
+    assert((0 until 3).map(p.size) == Seq(0, 2, 1))
     val drained = p.drain(1)
     assert(drained.length == 2 && drained.minHop == 3)
-    assert(p.minHops.toSeq == Seq(Int.MaxValue, Int.MaxValue, 9))
+    assert(minHops == Seq(Int.MaxValue, Int.MaxValue, 9))
     p.add(1, w, 2)
-    assert(p.minHops(1) == 9)
+    assert(p.pool(1).minHop == 9)
   }
 
   test("drain recycles the previously drained buffer as an empty pool") {
