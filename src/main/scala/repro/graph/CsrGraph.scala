@@ -89,41 +89,54 @@ object CsrGraph {
 
   /** Build a CSR graph from directed edge pairs; symmetrizes, deduplicates,
     * and drops self-loops, so the result is a simple undirected graph.
+    *
+    * A counting sort by source: count both directions of every pair, take
+    * the prefix sum, scatter, then sort and dedupe each adjacency list in
+    * place.
     */
   def fromEdges(nV: Int, srcs: Array[Int], dsts: Array[Int]): CsrGraph = {
     require(srcs.length == dsts.length, "src/dst arrays must align")
-    // Symmetrize into a flat (u, v) multiset encoded as Longs for one sort.
     val m = srcs.length
-    val enc = new Array[Long](2 * m)
+    require(2L * m <= Int.MaxValue,
+      s"$m pairs give ${2L * m} symmetrized entries; CSR Int offsets hold at most ${Int.MaxValue}")
+    val off = new Array[Int](nV + 1)
     var i = 0
-    var k = 0
     while (i < m) {
       val s = srcs(i); val d = dsts(i)
       require(s >= 0 && s < nV && d >= 0 && d < nV, s"edge ($s,$d) out of range [0,$nV)")
+      if (s != d) { off(s + 1) += 1; off(d + 1) += 1 }
+      i += 1
+    }
+    var v = 0
+    while (v < nV) { off(v + 1) += off(v); v += 1 }
+    val nbr = new Array[Int](off(nV))
+    val cursor = java.util.Arrays.copyOf(off, nV)
+    i = 0
+    while (i < m) {
+      val s = srcs(i); val d = dsts(i)
       if (s != d) {
-        enc(k) = (s.toLong << 32) | (d.toLong & 0xffffffffL); k += 1
-        enc(k) = (d.toLong << 32) | (s.toLong & 0xffffffffL); k += 1
+        nbr(cursor(s)) = d; cursor(s) += 1
+        nbr(cursor(d)) = s; cursor(d) += 1
       }
       i += 1
     }
-    val used = java.util.Arrays.copyOf(enc, k)
-    java.util.Arrays.sort(used)
-    // Dedupe in place.
+    // Sort each list and compact it, without its duplicates, down to `w`;
+    // `off(v)` moves from the raw start to the deduplicated one.
     var w = 0
-    i = 0
-    while (i < used.length) {
-      if (w == 0 || used(i) != used(w - 1)) { used(w) = used(i); w += 1 }
-      i += 1
+    v = 0
+    while (v < nV) {
+      val from = off(v); val until = off(v + 1)
+      java.util.Arrays.sort(nbr, from, until)
+      off(v) = w
+      var j = from
+      while (j < until) {
+        if (w == off(v) || nbr(j) != nbr(w - 1)) { nbr(w) = nbr(j); w += 1 }
+        j += 1
+      }
+      v += 1
     }
-    val off = new Array[Int](nV + 1)
-    i = 0
-    while (i < w) { off(((used(i) >>> 32).toInt) + 1) += 1; i += 1 }
-    i = 0
-    while (i < nV) { off(i + 1) += off(i); i += 1 }
-    val nbr = new Array[Int](w)
-    i = 0
-    while (i < w) { nbr(i) = used(i).toInt; i += 1 }
-    new CsrGraph(nV, off, nbr)
+    off(nV) = w
+    new CsrGraph(nV, off, if (w == nbr.length) nbr else java.util.Arrays.copyOf(nbr, w))
   }
 
   /** Build from a Spark DataFrame with integer columns `src`, `dst`.

@@ -5,7 +5,8 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.IntegerType
 
 /** Deterministic synthetic graph generators, expressed as Spark DataFrame
-  * computations (every generator is a pure function of its seed).
+  * computations. For a fixed Spark version every generator is a pure
+  * function of its parameters and seed, on any host.
   *
   * These substitute the paper's datasets:
   *   - Erdős–Rényi (`RandomG*` in Table 5),
@@ -19,12 +20,34 @@ import org.apache.spark.sql.types.IntegerType
   * All return a DataFrame with Int columns `src`, `dst` of directed pairs;
   * `CsrGraph.fromDataFrame` symmetrizes/dedupes, so the realized undirected
   * edge count is slightly below the nominal pair count (collisions).
+  *
+  * Determinism: `rand(seed)` seeds each partition with seed + partition
+  * index, so every seeded `spark.range` takes the fixed `Partitions` count
+  * instead of one that follows the master's cores. `sbm` draws on its cross
+  * join's output, so its graph also depends on the join's physical plan:
+  * `sbm(3, 40, 0.5, 0.1, seed 3)` gives 1,609 pairs with broadcast joins
+  * allowed and 1,687 with them disabled (as `JobSession` and the tests run
+  * it).
+  *
+  * No generator hands Spark one row per driver-local datum: a local
+  * relation of n rows is rewritten by every analyzer and optimizer rule, so
+  * its planning costs far more than the data (≈ 0.6 s on a 4-vCPU host
+  * for the 216 k Barabási–Albert edges of `Datasets.lj`). Driver-local data
+  * travels as one row of arrays, exploded on the executors, or as a lookup
+  * array captured by a UDF.
   */
 object GraphGen {
 
+  /** Partition count of every seeded `spark.range`; 4 keeps the graphs
+    * these generators produced on a 4-core master.
+    */
+  final val Partitions = 4
+
+  private def seededRange(spark: SparkSession, n: Long) = spark.range(0, n, 1, Partitions)
+
   /** Erdős–Rényi G(n, m)-style: `nPairs` uniform random pairs. */
   def erdosRenyi(spark: SparkSession, nV: Int, nPairs: Long, seed: Long): DataFrame =
-    spark.range(nPairs).select(
+    seededRange(spark, nPairs).select(
       (rand(seed) * nV).cast(IntegerType) as "src",
       (rand(seed + 1) * nV).cast(IntegerType) as "dst",
     )
@@ -49,7 +72,7 @@ object GraphGen {
   def sbm(spark: SparkSession, nBlocks: Int, blockSize: Int,
           pIn: Double, pOut: Double, seed: Long): DataFrame = {
     val nV = nBlocks * blockSize
-    val v  = spark.range(nV).select(col("id").cast(IntegerType) as "v")
+    val v  = seededRange(spark, nV).select(col("id").cast(IntegerType) as "v")
     v.as("a").crossJoin(v.as("b"))
       .select(col("a.v") as "src", col("b.v") as "dst", rand(seed) as "u")
       .where(col("src") < col("dst"))
@@ -67,7 +90,7 @@ object GraphGen {
   def rmat(spark: SparkSession, levels: Int, nPairs: Long,
            a: Double, b: Double, c: Double, seed: Long): DataFrame = {
     require(a + b + c <= 1.0, "quadrant probabilities must sum to <= 1")
-    var df = spark.range(nPairs).select(lit(0) as "src", lit(0) as "dst")
+    var df = seededRange(spark, nPairs).select(lit(0) as "src", lit(0) as "dst")
     var l = 0
     while (l < levels) {
       // Materialize the level's draw first: a nondeterministic column used in
@@ -99,7 +122,7 @@ object GraphGen {
     // Materialize every random draw once (see `sbm` note), then derive the
     // destination: a two-sided exponential offset around the source, or a
     // uniform long link with probability `longFrac`.
-    spark.range(nPairs).select(
+    seededRange(spark, nPairs).select(
       (rand(seed) * nV).cast(IntegerType) as "src",
       ceil(-log(lit(1.0) - rand(seed + 1)) * window).cast(IntegerType) as "mag",
       (rand(seed + 2) < 0.5) as "neg",
@@ -134,55 +157,63 @@ object GraphGen {
       val size = math.max(2, (meanCluster * (0.4 + 1.2 * rng.nextDouble())).toInt)
       starts += math.min(nV, starts.last + size)
     }
-    import spark.implicits._
-    val vmap = (0 until starts.length - 1).flatMap { c =>
-      (starts(c) until starts(c + 1)).map(v => (v, starts(c), starts(c + 1) - starts(c)))
-    }.toDF("v", "clStart", "clSize")
-    val pairs = spark.range(nPairs).select(
+    // Each source's cluster start and size, looked up by vertex id.
+    val clStart = new Array[Int](nV)
+    val clSize = new Array[Int](nV)
+    var c = 0
+    while (c < starts.length - 1) {
+      java.util.Arrays.fill(clStart, starts(c), starts(c + 1), starts(c))
+      java.util.Arrays.fill(clSize, starts(c), starts(c + 1), starts(c + 1) - starts(c))
+      c += 1
+    }
+    val startOf = udf((v: Int) => clStart(v))
+    val sizeOf = udf((v: Int) => clSize(v))
+    seededRange(spark, nPairs).select(
       (rand(seed + 1) * nV).cast(IntegerType) as "src",
       (rand(seed + 2) < intraFrac) as "isIntra",
       rand(seed + 3) as "r2",
       (rand(seed + 4) * nV).cast(IntegerType) as "far",
+    ).select(
+      col("src"),
+      when(col("isIntra"),
+           (startOf(col("src")) + floor(col("r2") * sizeOf(col("src")))).cast(IntegerType))
+        .otherwise(col("far")) as "dst",
     )
-    pairs.join(vmap, pairs("src") === vmap("v"))
-      .select(
-        col("src"),
-        when(col("isIntra"),
-             (col("clStart") + floor(col("r2") * col("clSize"))).cast(IntegerType))
-          .otherwise(col("far")) as "dst",
-      )
   }
 
   /** Barabási–Albert preferential attachment: each new vertex attaches `m`
     * edges to endpoints sampled from the degree-proportional repeated-node
     * list. The process is inherently sequential, so it is generated locally
-    * and parallelized into a DataFrame (documented substitution — NetworkX
-    * in the paper is also a sequential in-memory generator).
+    * and handed to Spark as one row of two arrays (documented substitution —
+    * NetworkX in the paper is also a sequential in-memory generator).
     */
   def barabasiAlbert(spark: SparkSession, nV: Int, m: Int, seed: Long): DataFrame = {
     require(nV > m && m >= 1, "need nV > m >= 1")
+    val nEdges = m * (m + 1) / 2 + (nV - m - 1) * m
     val rng = new java.util.Random(seed)
-    val repeated = new scala.collection.mutable.ArrayBuffer[Int](2 * nV * m)
-    val srcs = new scala.collection.mutable.ArrayBuffer[Int](nV * m)
-    val dsts = new scala.collection.mutable.ArrayBuffer[Int](nV * m)
+    val repeated = new Array[Int](2 * nEdges)
+    val srcs = new Array[Int](nEdges)
+    val dsts = new Array[Int](nEdges)
+    var e = 0
+    def add(s: Int, d: Int): Unit = {
+      srcs(e) = s; dsts(e) = d; repeated(2 * e) = s; repeated(2 * e + 1) = d; e += 1
+    }
     // Seed clique over the first m+1 vertices.
     var i = 0
     while (i <= m) {
       var j = i + 1
-      while (j <= m) {
-        srcs += i; dsts += j; repeated += i; repeated += j; j += 1
-      }
+      while (j <= m) { add(i, j); j += 1 }
       i += 1
     }
     var v = m + 1
     while (v < nV) {
       val chosen = new scala.collection.mutable.HashSet[Int]
-      while (chosen.size < m) chosen += repeated(rng.nextInt(repeated.length))
-      chosen.foreach { t => srcs += v; dsts += t; repeated += v; repeated += t }
+      while (chosen.size < m) chosen += repeated(rng.nextInt(2 * e))
+      chosen.foreach(add(v, _))
       v += 1
     }
     import spark.implicits._
-    srcs.zip(dsts).toSeq.toDF("src", "dst")
+    Seq((srcs, dsts)).toDF("src", "dst").select(inline(arrays_zip(col("src"), col("dst"))))
   }
 
   /** Degree DataFrame (undirected semantics) for a directed-pair edge set:

@@ -83,6 +83,37 @@ class CsrGraphSpec extends AnyFunSuite {
   test("rejects out-of-range edges") {
     assertThrows[IllegalArgumentException](TestGraphs.fromPairs(3, Seq((0, 3))))
     assertThrows[IllegalArgumentException](TestGraphs.fromPairs(3, Seq((-1, 0))))
+    // The first offending pair in input order is named.
+    val e = intercept[IllegalArgumentException](
+      TestGraphs.fromPairs(3, Seq((1, 1), (2, 0), (1, 3), (4, 0))))
+    assert(e.getMessage == "requirement failed: edge (1,3) out of range [0,3)")
+  }
+
+  test("fromEdges equals the sorted, distinct symmetric pair set on random inputs") {
+    val rng = new Random(17)
+    for (trial <- 0 until 300) {
+      val nV = if (trial % 10 == 0) 1 else 1 + rng.nextInt(40)
+      // Endpoints come from a random subset of the vertices, so some
+      // vertices stay isolated; re-emitted pairs, reversed pairs and
+      // self-loops are mixed in on purpose.
+      val live = 0 +: (1 until nV).filter(_ => rng.nextDouble() < 0.7)
+      val pairs = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+      for (_ <- 0 until rng.nextInt(120)) {
+        def pick() = live(rng.nextInt(live.length))
+        rng.nextInt(6) match {
+          case 0 if pairs.nonEmpty => pairs += pairs(rng.nextInt(pairs.length))
+          case 1 if pairs.nonEmpty => pairs += pairs(rng.nextInt(pairs.length)).swap
+          case 2                   => val v = pick(); pairs += ((v, v))
+          case _                   => pairs += ((pick(), pick()))
+        }
+      }
+      val ref = pairs.flatMap { case (u, v) => Seq((u, v), (v, u)) }
+        .filter { case (u, v) => u != v }.distinct.sorted
+      val g = TestGraphs.fromPairs(nV, pairs.toSeq)
+      val refOffsets = (0 to nV).map(v => ref.count(_._1 < v))
+      assert(g.offsets.toSeq == refOffsets, s"offsets, trial $trial")
+      assert(g.neighbors.toSeq == ref.map(_._2), s"neighbors, trial $trial")
+    }
   }
 
   test("relabel by identity preserves the graph") {

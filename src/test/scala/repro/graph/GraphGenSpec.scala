@@ -1,10 +1,18 @@
 package repro.graph
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 class GraphGenSpec extends SparkSpec {
   import spark.implicits._
+
+  /** Each (src, dst) pair packed into one Long, in row order. */
+  private def packed(df: DataFrame): Array[Long] =
+    df.select("src", "dst").collect()
+      .map(r => (r.getInt(0).toLong << 32) | (r.getInt(1).toLong & 0xffffffffL))
+
+  private def sortedPacked(df: DataFrame): Array[Long] = { val p = packed(df); java.util.Arrays.sort(p); p }
 
   test("erdosRenyi produces the requested pair count in range") {
     val df = GraphGen.erdosRenyi(spark, nV = 500, nPairs = 2000, seed = 1).cache()
@@ -146,5 +154,44 @@ class GraphGenSpec extends SparkSpec {
       .map(r => r.getInt(0) -> r.getLong(1)).toMap
     for (v <- 0 until 80)
       assert(fromDf.getOrElse(v, 0L) == g.degree(v).toLong, s"vertex $v")
+  }
+
+  test("seeded generators give the same graph whatever the leaf-node parallelism") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val saved = spark.conf.getOption(key)
+    def underParallelism(p: Int): Seq[Seq[Long]] = {
+      spark.conf.set(key, p.toString)
+      Seq(
+        GraphGen.erdosRenyi(spark, 300, 2000, seed = 3),
+        GraphGen.rmat(spark, levels = 8, nPairs = 2000, a = 0.57, b = 0.19, c = 0.19, seed = 4),
+        GraphGen.locality(spark, 300, 2000, window = 10, longFrac = 0.1, seed = 5),
+        GraphGen.clusteredWeb(spark, 300, 2000, meanCluster = 20, intraFrac = 0.8, seed = 6),
+        GraphGen.sbm(spark, 3, 40, pIn = 0.5, pOut = 0.1, seed = 7),
+      ).map(sortedPacked(_).toSeq)
+    }
+    try {
+      val (two, four) = (underParallelism(2), underParallelism(4))
+      for ((name, i) <- Seq("ER", "R-MAT", "locality", "clusteredWeb", "SBM").zipWithIndex)
+        assert(two(i) == four(i), s"$name differs between parallelism 2 and 4")
+    } finally saved match {
+      case Some(v) => spark.conf.set(key, v)
+      case None    => spark.conf.unset(key)
+    }
+  }
+
+  // Recorded before barabasiAlbert and clusteredWeb stopped building one
+  // Spark row per driver-local datum; the rewrite must keep every edge.
+  test("barabasiAlbert's ordered edge list is pinned") {
+    val p = packed(GraphGen.barabasiAlbert(spark, 300, 3, seed = 21))
+    assert(p.length == 894)
+    assert(java.util.Arrays.hashCode(p) == -201221348)
+  }
+
+  // A multiset: with broadcast joins disabled the old generator's row order
+  // came from a sort-merge join.
+  test("clusteredWeb's edge multiset is pinned") {
+    val p = sortedPacked(GraphGen.clusteredWeb(spark, 2000, 8000, meanCluster = 50, intraFrac = 0.8, seed = 22))
+    assert(p.length == 8000)
+    assert(java.util.Arrays.hashCode(p) == -447182850)
   }
 }
