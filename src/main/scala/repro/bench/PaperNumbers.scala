@@ -120,7 +120,4 @@ object PaperNumbers {
     "Kron29" -> (277e6, 33.7e9, 128e9, 13, 92.66),
     "CW"     -> (3.6e9, 226e9, 864e9, 9, Double.NaN),
   )
-
-  /** §7.5 — METIS edge-cut percentages. */
-  val metisEdgeCut: Map[String, Double] = Map("TW" -> 55.14, "UK" -> 0.33)
 }

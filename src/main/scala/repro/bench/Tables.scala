@@ -2,7 +2,7 @@ package repro.bench
 
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import repro.core.{BiBlockEngine, BlockLoading, LblTrainer, LoadLogCollector}
+import repro.core.{BiBlockEngine, BlockLoading, LblTrainer}
 import repro.disk.DiskSim
 import repro.engine._
 import repro.graph.{Datasets, GraphSpec}
@@ -48,11 +48,8 @@ object Tables {
     lblCache.getOrElseUpdate((spec.name, partition, taskKind), {
       val bg = Datasets.blocked(spec, partition)
       val t = task(spec, taskKind)
-      val fullLog = new LoadLogCollector
-      val odLog = new LoadLogCollector
-      new BiBlockEngine(BlockLoading.AlwaysFull, fullLog).run(bg, t, Scale.sim(spec, bg, t))
-      new BiBlockEngine(BlockLoading.AlwaysOnDemand, odLog).run(bg, t, Scale.sim(spec, bg, t))
-      LblTrainer.train(bg.nBlocks, fullLog, odLog)
+      LblTrainer.learn(bg.nBlocks)((policy, log) =>
+        new BiBlockEngine(policy, log).run(bg, t, Scale.sim(spec, bg, t)))
     })
 
   /** Same protocol for first-order current-block loading (Table 7). */
@@ -61,13 +58,8 @@ object Tables {
     lblCache.getOrElseUpdate((spec.name, partition, "FO-DeepWalk"), {
       val bg = Datasets.blocked(spec, partition)
       val t = task(spec, "DeepWalk")
-      val fullLog = new LoadLogCollector
-      val odLog = new LoadLogCollector
-      new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysFull, fullLog)
-        .run(bg, t, Scale.sim(spec, bg, t))
-      new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysOnDemand, odLog)
-        .run(bg, t, Scale.sim(spec, bg, t))
-      LblTrainer.train(bg.nBlocks, fullLog, odLog)
+      LblTrainer.learn(bg.nBlocks)((policy, log) =>
+        new FirstOrderEngine(new Scheduling.Iteration, policy, log).run(bg, t, Scale.sim(spec, bg, t)))
     })
 
   private def engineFor(kind: String, spec: GraphSpec, partition: String, taskKind: String)

@@ -136,6 +136,18 @@ object LoadLogCollector {
 object LblTrainer {
   private val MinSamplesPerBlock = 3
 
+  /** The §5.2.2 profiling protocol: one run under full load and one under
+    * on-demand load, each logging its samples, then `train`. `run` runs
+    * the task once under the given policy, recording into the given log.
+    */
+  def learn(nBlocks: Int)(run: (BlockLoading.Policy, LoadLogCollector) => Unit): BlockLoading.Learned = {
+    val fullLog = new LoadLogCollector
+    val odLog = new LoadLogCollector
+    run(BlockLoading.AlwaysFull, fullLog)
+    run(BlockLoading.AlwaysOnDemand, odLog)
+    train(nBlocks, fullLog, odLog)
+  }
+
   def train(nBlocks: Int, fullLog: LoadLogCollector, onDemandLog: LoadLogCollector): BlockLoading.Learned = {
     def byBlock(log: LoadLogCollector): Map[Int, ArrayBuffer[(Double, Double)]] = {
       val m = mutable.Map.empty[Int, ArrayBuffer[(Double, Double)]]

@@ -32,15 +32,21 @@ object CostModel {
 
 /** Accounting for a single engine run.
   *
-  * Event *counts* are the real, emergent outputs of the algorithms (block
-  * I/O numbers, vertex I/O numbers, steps). Event *times* are
-  * `count x unit cost`, optionally bridged to the paper's scale:
+  * The simulator keeps only integer event *counts*: the real, emergent
+  * outputs of the algorithms (block reads and their bytes, vertex reads,
+  * walk bytes, steps and neighbour work, cache scans, slots, supersteps).
+  * Event *times* are priced from those counts in one place,
+  * [[DiskSim.Metrics]], as `count x unit cost`, optionally bridged to the
+  * paper's scale:
   *
   *   - `byteScale` multiplies byte-proportional costs (block and walk I/O)
   *     so a lite block is charged like its paper-sized counterpart;
   *   - `walkScale` multiplies per-walk/per-step-proportional costs (vertex
   *     I/Os, walk loads, execution) so the lite workload is charged like the
   *     paper's walk count x length.
+  *
+  * A modeled time is therefore a pure function of the counts: it does not
+  * depend on the order in which an engine makes its charges.
   *
   * Sequential vs. random block reads are detected from the simulated disk
   * head position: a read starting where the previous one ended is sequential
@@ -56,30 +62,22 @@ final class DiskSim(
 
   var blockIOCount: Long = 0
   var blockIOSeqCount: Long = 0
-  var blockIOTimeSec: Double = 0.0
-
+  var blockIOBytes: Long = 0
   var vertexIOCount: Long = 0
-  var vertexIOTimeSec: Double = 0.0
-
   var walkIOBytes: Long = 0
-  var walkIOTimeSec: Double = 0.0
-
   var steps: Long = 0
   var neighborWork: Long = 0
-  var execTimeSec: Double = 0.0
-
-  var cacheInitTimeSec: Double = 0.0
+  var cacheInitCount: Long = 0
+  var cacheInitBytes: Long = 0
   var timeSlots: Long = 0
   var supersteps: Long = 0
 
   /** Charge a block read of `bytes` at disk offset `offset`. */
   def readBlock(offset: Long, bytes: Long): Unit = {
-    val sequential = offset == headPos
+    if (offset == headPos) blockIOSeqCount += 1
     headPos = offset + bytes
     blockIOCount += 1
-    if (sequential) blockIOSeqCount += 1
-    val seek = if (sequential) cost.seqSeekSec else cost.randSeekSec
-    blockIOTimeSec += seek + (bytes * byteScale) / cost.bytesPerSec
+    blockIOBytes += bytes
   }
 
   /** Charge `n` light random vertex reads (CSR segmentations of single
@@ -88,7 +86,6 @@ final class DiskSim(
     */
   def readVertices(n: Long): Unit = {
     vertexIOCount += n
-    vertexIOTimeSec += n * cost.vertexIOSec * walkScale
     headPos = Long.MinValue // random reads lose sequential position
   }
 
@@ -96,68 +93,69 @@ final class DiskSim(
     * Walk-pool bytes are proportional to the walk count, so only the
     * workload bridge applies (byteScale would double-count the scale-up).
     */
-  def walkIO(n: Long): Unit = {
-    val bytes = n * cost.walkBytes
-    walkIOBytes += bytes
-    walkIOTimeSec += (bytes * walkScale) / cost.bytesPerSec
-  }
+  def walkIO(n: Long): Unit = walkIOBytes += n * cost.walkBytes
 
   /** Charge the sampling of one walk step whose current vertex has degree
     * `deg`; `secondOrder` adds the per-neighbor weighting work of Node2vec.
     */
   def chargeStep(deg: Int, secondOrder: Boolean): Unit = {
     steps += 1
-    var t = cost.stepBaseSec
-    if (secondOrder) {
-      neighborWork += deg
-      t += deg * cost.stepPerNeighborSec
-    }
-    execTimeSec += t * walkScale
+    if (secondOrder) neighborWork += deg
   }
 
   /** One-off sequential scan (SGSC static-cache initialization, §7.1). */
   def chargeCacheInit(totalBytes: Long): Unit = {
-    cacheInitTimeSec += cost.randSeekSec + (totalBytes * byteScale) / cost.bytesPerSec
+    cacheInitCount += 1
+    cacheInitBytes += totalBytes
     headPos = Long.MinValue
   }
 
-  def ioTimeSec: Double =
-    blockIOTimeSec + vertexIOTimeSec + walkIOTimeSec + cacheInitTimeSec
+  def blockIOTimeSec: Double = snapshot.blockIOTimeSec
+  def vertexIOTimeSec: Double = snapshot.vertexIOTimeSec
+  def walkIOTimeSec: Double = snapshot.walkIOTimeSec
+  def execTimeSec: Double = snapshot.execTimeSec
+  def ioTimeSec: Double = snapshot.ioTimeSec
+  def wallTimeSec: Double = snapshot.wallTimeSec
 
-  def wallTimeSec: Double = ioTimeSec + execTimeSec
-
-  def snapshot: DiskSim.Metrics = DiskSim.Metrics(
-    wallTimeSec = wallTimeSec,
-    execTimeSec = execTimeSec,
-    blockIOCount = blockIOCount,
-    blockIOSeqCount = blockIOSeqCount,
-    blockIOTimeSec = blockIOTimeSec,
-    vertexIOCount = vertexIOCount,
-    vertexIOTimeSec = vertexIOTimeSec,
-    walkIOTimeSec = walkIOTimeSec,
-    cacheInitTimeSec = cacheInitTimeSec,
-    steps = steps,
-    timeSlots = timeSlots,
-    supersteps = supersteps,
-  )
+  def snapshot: DiskSim.Metrics = DiskSim.Metrics(cost, byteScale, walkScale,
+    blockIOCount, blockIOSeqCount, blockIOBytes, vertexIOCount, walkIOBytes, steps, neighborWork,
+    cacheInitCount, cacheInitBytes, timeSlots, supersteps)
 }
 
 object DiskSim {
-  /** Immutable view of a run's accounting, used by the table harnesses. */
+  /** Immutable record of a run: every count, and the cost model and scales
+    * that price them. Its time members are the only place the unit costs
+    * of `CostModel` are read; `DiskSim`'s live time getters go through it.
+    */
   final case class Metrics(
-      wallTimeSec: Double,
-      execTimeSec: Double,
+      cost: CostModel,
+      byteScale: Double,
+      walkScale: Double,
       blockIOCount: Long,
       blockIOSeqCount: Long,
-      blockIOTimeSec: Double,
+      blockIOBytes: Long,
       vertexIOCount: Long,
-      vertexIOTimeSec: Double,
-      walkIOTimeSec: Double,
-      cacheInitTimeSec: Double,
+      walkIOBytes: Long,
       steps: Long,
+      neighborWork: Long,
+      cacheInitCount: Long,
+      cacheInitBytes: Long,
       timeSlots: Long,
       supersteps: Long,
   ) {
+    private def transferSec(bytes: Long, scale: Double): Double = bytes * scale / cost.bytesPerSec
+
+    def blockIOTimeSec: Double =
+      blockIOSeqCount * cost.seqSeekSec + (blockIOCount - blockIOSeqCount) * cost.randSeekSec +
+        transferSec(blockIOBytes, byteScale)
+    def vertexIOTimeSec: Double = vertexIOCount * cost.vertexIOSec * walkScale
+    def walkIOTimeSec: Double = transferSec(walkIOBytes, walkScale)
+    def execTimeSec: Double =
+      (steps * cost.stepBaseSec + neighborWork * cost.stepPerNeighborSec) * walkScale
+    /** A cache scan starts with a random seek, then reads sequentially. */
+    def cacheInitTimeSec: Double =
+      cacheInitCount * cost.randSeekSec + transferSec(cacheInitBytes, byteScale)
     def ioTimeSec: Double = blockIOTimeSec + vertexIOTimeSec + walkIOTimeSec + cacheInitTimeSec
+    def wallTimeSec: Double = ioTimeSec + execTimeSec
   }
 }

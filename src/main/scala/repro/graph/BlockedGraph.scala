@@ -12,12 +12,14 @@ package repro.graph
   *
   * Byte accounting follows the paper's example (Fig. 5/6): every index or
   * CSR cell is 4 bytes; a block's bytes are its index slice plus its
-  * neighbor slice; a single-vertex on-demand read costs its index entry pair
-  * plus its neighbor run.
+  * neighbor slice. A single-vertex on-demand read is latency-bound and
+  * priced per read (`DiskSim.readVertices`), not per byte.
   */
 final class BlockedGraph(val g: CsrGraph, val blockStart: Array[Int]) {
   require(blockStart.length >= 2, "need at least one block")
   require(blockStart(0) == 0 && blockStart.last == g.nV, "blocks must cover all vertices")
+  require((1 until blockStart.length).forall(b => blockStart(b - 1) <= blockStart(b)),
+    s"blockStart must be non-decreasing: ${blockStart.mkString("[", ", ", "]")}")
 
   val nBlocks: Int = blockStart.length - 1
 
@@ -53,9 +55,6 @@ final class BlockedGraph(val g: CsrGraph, val blockStart: Array[Int]) {
   }
 
   def totalBytes: Long = blockOffset(nBlocks)
-
-  /** Bytes of a single vertex's CSR segmentation (index entry pair + run). */
-  def vertexBytes(v: Int): Long = 8L + 4L * g.degree(v)
 
   /** Fraction of directed adjacency entries crossing block boundaries. */
   def edgeCut: Double = {
@@ -108,6 +107,7 @@ object BlockedGraph {
     */
   def fromAssignment(g: CsrGraph, assign: Array[Int]): (BlockedGraph, Array[Int]) = {
     require(assign.length == g.nV, "assignment must cover all vertices")
+    require(assign.forall(_ >= 0), s"block ids must be non-negative, got ${assign.min}")
     val nBlocks = assign.max + 1
     val counts = new Array[Int](nBlocks)
     assign.foreach(b => counts(b) += 1)

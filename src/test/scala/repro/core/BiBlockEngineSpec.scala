@@ -70,13 +70,8 @@ class BiBlockEngineSpec extends AnyFunSuite {
 
   test("learned policy run matches full/on-demand trajectories and completes") {
     // Train quickly on the same task.
-    val fullLog = new LoadLogCollector
-    val odLog = new LoadLogCollector
-    new BiBlockEngine(BlockLoading.AlwaysFull, fullLog)
-      .run(bg, rwnv, new repro.disk.DiskSim())
-    new BiBlockEngine(BlockLoading.AlwaysOnDemand, odLog)
-      .run(bg, rwnv, new repro.disk.DiskSim())
-    val learned = LblTrainer.train(bg.nBlocks, fullLog, odLog)
+    val learned = LblTrainer.learn(bg.nBlocks)((policy, log) =>
+      new BiBlockEngine(policy, log).run(bg, rwnv, new repro.disk.DiskSim()))
     val lr = runTraced(new BiBlockEngine(learned), bg, rwnv)
     val fr = runTraced(new BiBlockEngine(), bg, rwnv)
     assert(corpus(lr.trace) == corpus(fr.trace))

@@ -1,5 +1,7 @@
 package repro.disk
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class DiskSimSpec extends AnyFunSuite {
@@ -92,8 +94,43 @@ class DiskSimSpec extends AnyFunSuite {
     val s = new DiskSim(cm)
     s.readBlock(0, 1000); s.readVertices(3); s.walkIO(10); s.chargeStep(4, secondOrder = true)
     s.chargeCacheInit(5000)
+    val m = s.snapshot
+    assert(m.cacheInitTimeSec > 0)
     assert(math.abs(s.wallTimeSec -
-      (s.blockIOTimeSec + s.vertexIOTimeSec + s.walkIOTimeSec + s.cacheInitTimeSec + s.execTimeSec)) < 1e-15)
+      (m.blockIOTimeSec + m.vertexIOTimeSec + m.walkIOTimeSec + m.cacheInitTimeSec + m.execTimeSec)) < 1e-15)
+  }
+
+  test("a cache scan is one random seek plus its transfer") {
+    val s = new DiskSim(cm, byteScale = 4.0)
+    s.chargeCacheInit(5000)
+    assert(s.snapshot.cacheInitTimeSec == 1e-3 + 5000 * 4.0 / 1e9)
+  }
+
+  test("times are priced from counts: any order of the same charges gives an equal snapshot") {
+    // Charges without a block read, so their order cannot change a count.
+    final case class Charge(name: String, run: DiskSim => Unit) { override def toString: String = name }
+    val charge: Gen[Charge] = Gen.oneOf(
+      Gen.choose(0L, 50L).map(n => Charge(s"readVertices($n)", _.readVertices(n))),
+      Gen.choose(0L, 500L).map(n => Charge(s"walkIO($n)", _.walkIO(n))),
+      for (deg <- Gen.choose(0, 10000); so <- Gen.oneOf(true, false))
+        yield Charge(s"chargeStep($deg, $so)", _.chargeStep(deg, so)),
+      Gen.choose(0L, 1L << 30).map(b => Charge(s"chargeCacheInit($b)", _.chargeCacheInit(b))),
+    )
+    val charges = for {
+      cs <- Gen.listOf(charge)
+      keys <- Gen.listOfN(cs.length, Gen.long) // sorting by random keys permutes
+    } yield (cs, cs.zip(keys).sortBy(_._2).map(_._1))
+    val prop = Prop.forAllNoShrink(charges) { case (cs, permuted) =>
+      def replay(order: Seq[Charge]): DiskSim.Metrics = {
+        val s = new DiskSim(CostModel.paperSsd, byteScale = 37.3, walkScale = 411.7)
+        order.foreach(_.run(s))
+        s.snapshot
+      }
+      replay(cs) == replay(permuted)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(20221L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
   }
 
   test("snapshot mirrors the counters") {

@@ -47,11 +47,6 @@ class BlockedGraphSpec extends AnyFunSuite {
     assert((0 until 9).map(bg.edgesInBlock).sum == g.nEdgesDirected)
   }
 
-  test("vertexBytes is the index pair plus the neighbor run") {
-    val bg = BlockedGraph.sequential(g, 3)
-    for (v <- 0 until g.nV) assert(bg.vertexBytes(v) == 8L + 4L * g.degree(v))
-  }
-
   test("edge-cut of a single block is zero") {
     val bg = BlockedGraph.sequential(g, 1)
     assert(bg.edgeCut == 0.0)
@@ -104,5 +99,16 @@ class BlockedGraphSpec extends AnyFunSuite {
 
   test("rejects non-covering block starts") {
     assertThrows[IllegalArgumentException](new BlockedGraph(g, Array(0, 50)))
+  }
+
+  test("rejects decreasing block starts") {
+    val e = intercept[IllegalArgumentException](new BlockedGraph(g, Array(0, 5, 3, g.nV)))
+    assert(e.getMessage.contains("non-decreasing"))
+  }
+
+  test("fromAssignment rejects negative block ids") {
+    val assign = Array.tabulate(g.nV)(v => if (v == 7) -1 else v % 3)
+    val e = intercept[IllegalArgumentException](BlockedGraph.fromAssignment(g, assign))
+    assert(e.getMessage.contains("non-negative"))
   }
 }
