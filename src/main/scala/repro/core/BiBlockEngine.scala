@@ -66,9 +66,8 @@ final class BiBlockEngine(
             val bucket = buckets(i)
             if (bucket.nonEmpty) {
               val t0  = sim.wallTimeSec
-              val eta = bucket.length.toDouble / math.max(1, bg.verticesInBlock(i))
-              val mode = policy.mode(i, bucket.length, bg.verticesInBlock(i))
-              val access = BlockLoading.load(bg, i, mode, bucket, sim)
+              val eta = BlockLoading.eta(bucket.length, bg.verticesInBlock(i))
+              val access = BlockLoading.load(bg, i, policy.mode(i, eta), bucket, sim)
               val mem = new BiBlockEngine.Pair(bg, b, i, access)
 
               var idx = 0

@@ -67,19 +67,19 @@ object BlockLoading {
       new BlockAccess(bg, b, OnDemand, bits, sim)
   }
 
-  /** A loading policy decides the mode for each (block, walk-set) pair. */
+  /** η = |W| / |V_b| (§5.2): walks loading a block per vertex of it. */
+  def eta(nWalks: Int, nVertices: Int): Double = nWalks.toDouble / math.max(1, nVertices)
+
+  /** A loading policy decides the mode for a block from its η. */
   trait Policy {
-    def mode(block: Int, nWalks: Int, nVertices: Int): Mode
+    def mode(block: Int, eta: Double): Mode
   }
-  object AlwaysFull extends Policy { def mode(b: Int, w: Int, v: Int): Mode = Full }
-  object AlwaysOnDemand extends Policy { def mode(b: Int, w: Int, v: Int): Mode = OnDemand }
+  object AlwaysFull extends Policy { def mode(b: Int, eta: Double): Mode = Full }
+  object AlwaysOnDemand extends Policy { def mode(b: Int, eta: Double): Mode = OnDemand }
 
   /** The learned threshold policy (§5.2.2): full load iff η > η₀(block). */
   final class Learned(val thresholds: Array[Double]) extends Policy {
-    def mode(block: Int, nWalks: Int, nVertices: Int): Mode = {
-      val eta = nWalks.toDouble / math.max(1, nVertices)
-      if (eta > thresholds(block)) Full else OnDemand
-    }
+    def mode(block: Int, eta: Double): Mode = if (eta > thresholds(block)) Full else OnDemand
   }
 }
 

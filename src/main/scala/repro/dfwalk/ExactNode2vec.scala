@@ -7,8 +7,8 @@ import repro.walk.TransitionModel
   *
   * The second-order chain's state space is the set of directed edges (§2.1,
   * "edge-edge distribution"); these dense dynamic programs are the ground
-  * truth that the sampling engines and the DataFrame walker are verified
-  * against (they are O(E·d̄) per step — test-scale only).
+  * truth that the sampling engines are verified against (they are O(E·d̄)
+  * per step — test-scale only).
   */
 object ExactNode2vec {
 

@@ -114,7 +114,6 @@ final class DiskSim(
   def vertexIOTimeSec: Double = snapshot.vertexIOTimeSec
   def walkIOTimeSec: Double = snapshot.walkIOTimeSec
   def execTimeSec: Double = snapshot.execTimeSec
-  def ioTimeSec: Double = snapshot.ioTimeSec
   def wallTimeSec: Double = snapshot.wallTimeSec
 
   def snapshot: DiskSim.Metrics = DiskSim.Metrics(cost, byteScale, walkScale,

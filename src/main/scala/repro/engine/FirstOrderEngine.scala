@@ -46,8 +46,8 @@ final class FirstOrderEngine(
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
     driver.run { (b, walks) =>
       val t0 = sim.wallTimeSec
-      val eta = walks.length.toDouble / math.max(1, bg.verticesInBlock(b))
-      val access = BlockLoading.load(bg, b, policy.mode(b, walks.length, bg.verticesInBlock(b)), walks, sim)
+      val eta = BlockLoading.eta(walks.length, bg.verticesInBlock(b))
+      val access = BlockLoading.load(bg, b, policy.mode(b, eta), walks, sim)
       sim.walkIO(walks.length)
       driver.advanceAll(walks, new Residency {
         def holds(block: Int): Boolean = block == b

@@ -65,13 +65,17 @@ object Scheduling {
     def choose(pools: WalkPools, last: Int, slot: Long): Int = argmaxSize(pools)
   }
 
-  /** GraphWalker's mix: Max-Sum with probability p, else Min-Height. The
-    * coin is a deterministic counter-based draw so runs are reproducible.
+  private final val MaxSumP = 0.8
+  private final val CoinSeed = 7L
+
+  /** GraphWalker's mix: Max-Sum with probability `MaxSumP`, else
+    * Min-Height. The coin is a deterministic counter-based draw (seed
+    * `CoinSeed`) so runs are reproducible.
     */
-  final class GraphWalkerMix(p: Double = 0.8, seed: Long = 7) extends Scheduling {
+  final class GraphWalkerMix extends Scheduling {
     val strategyName = "GraphWalker"
     def choose(pools: WalkPools, last: Int, slot: Long): Int =
-      if (Rng.unit(seed, slot, 0, Rng.MoveStream) < p) argmaxSize(pools)
+      if (Rng.unit(CoinSeed, slot, 0, Rng.MoveStream) < MaxSumP) argmaxSize(pools)
       else argminHop(pools)
   }
 
@@ -80,7 +84,7 @@ object Scheduling {
     case "Iteration"   => new Iteration
     case "Min-Height"  => new MinHeight
     case "Max-Sum"     => new MaxSum
-    case "GraphWalker" => new GraphWalkerMix()
+    case "GraphWalker" => new GraphWalkerMix
     case other         => throw new IllegalArgumentException(s"unknown strategy $other")
   }
 }

@@ -14,8 +14,8 @@ import org.apache.spark.sql.types.IntegerType
   *   - stochastic block model (`SBM1..3`),
   *   - R-MAT / Kronecker power-law graphs (Twitter/Kron29 analogs),
   *   - Barabási–Albert scale-free (`BASF`, LiveJournal analog),
-  *   - a high-locality "web-like" generator (UK200705/CrawlWeb analogs,
-  *     reproducing their low sequential edge-cut in Table 2).
+  *   - a clustered web graph (UK200705/CrawlWeb analogs, reproducing their
+  *     moderate sequential edge-cut in Table 2).
   *
   * All return a DataFrame with Int columns `src`, `dst` of directed pairs;
   * `CsrGraph.fromDataFrame` symmetrizes/dedupes, so the realized undirected
@@ -23,11 +23,9 @@ import org.apache.spark.sql.types.IntegerType
   *
   * Determinism: `rand(seed)` seeds each partition with seed + partition
   * index, so every seeded `spark.range` takes the fixed `Partitions` count
-  * instead of one that follows the master's cores. `sbm` draws on its cross
-  * join's output, so its graph also depends on the join's physical plan:
-  * `sbm(3, 40, 0.5, 0.1, seed 3)` gives 1,609 pairs with broadcast joins
-  * allowed and 1,687 with them disabled (as `JobSession` and the tests run
-  * it).
+  * instead of one that follows the master's cores, and every draw is made
+  * in projections over that range, before any join or shuffle could
+  * reorder the rows it sees.
   *
   * No generator hands Spark one row per driver-local datum: a local
   * relation of n rows is rewritten by every analyzer and optimizer rule, so
@@ -62,8 +60,9 @@ object GraphGen {
 
   /** Stochastic block model: `nBlocks` equal blocks of `blockSize` vertices;
     * edge probability `pIn` within a block and `pOut` across blocks.
-    * Materialized by filtering the (small, dense) cross join — the paper's
-    * SBM graphs are extremely dense, so this is the honest construction.
+    * Materialized by filtering all nV² ordered pairs, one range row each —
+    * the paper's SBM graphs are extremely dense, so this is the honest
+    * construction.
     *
     * Note: `rand` is materialized in its own projection before use — a
     * nondeterministic column referenced twice is evaluated twice, which
@@ -72,9 +71,9 @@ object GraphGen {
   def sbm(spark: SparkSession, nBlocks: Int, blockSize: Int,
           pIn: Double, pOut: Double, seed: Long): DataFrame = {
     val nV = nBlocks * blockSize
-    val v  = seededRange(spark, nV).select(col("id").cast(IntegerType) as "v")
-    v.as("a").crossJoin(v.as("b"))
-      .select(col("a.v") as "src", col("b.v") as "dst", rand(seed) as "u")
+    seededRange(spark, nV.toLong * nV)
+      .select(floor(col("id") / nV).cast(IntegerType) as "src",
+              (col("id") % nV).cast(IntegerType) as "dst", rand(seed) as "u")
       .where(col("src") < col("dst"))
       .where(
         when(floor(col("src") / blockSize) === floor(col("dst") / blockSize),
@@ -107,35 +106,6 @@ object GraphGen {
       l += 1
     }
     df.select(col("src").cast(IntegerType), col("dst").cast(IntegerType))
-  }
-
-  /** Web-like locality graph: most edges connect vertices whose IDs are close
-    * (drawn from a two-sided geometric-ish offset), a small fraction are
-    * uniform long links. Under sequential blocking this yields the low
-    * edge-cut the paper reports for UK200705 (32.5%, Table 2).
-    *
-    * @param window     scale of the local offset (vertices)
-    * @param longFrac   fraction of uniform long-range pairs
-    */
-  def locality(spark: SparkSession, nV: Int, nPairs: Long,
-               window: Int, longFrac: Double, seed: Long): DataFrame = {
-    // Materialize every random draw once (see `sbm` note), then derive the
-    // destination: a two-sided exponential offset around the source, or a
-    // uniform long link with probability `longFrac`.
-    seededRange(spark, nPairs).select(
-      (rand(seed) * nV).cast(IntegerType) as "src",
-      ceil(-log(lit(1.0) - rand(seed + 1)) * window).cast(IntegerType) as "mag",
-      (rand(seed + 2) < 0.5) as "neg",
-      (rand(seed + 3) * nV).cast(IntegerType) as "far",
-      (rand(seed + 4) < longFrac) as "isFar",
-    ).select(
-      col("src"),
-      when(col("isFar"), col("far"))
-        .otherwise(pmod(
-          col("src") + when(col("neg"), -1).otherwise(1) * greatest(col("mag"), lit(1)),
-          lit(nV)))
-        .cast(IntegerType) as "dst",
-    )
   }
 
   /** Clustered web graph (UK/CrawlWeb analog): vertices form ID-contiguous
@@ -214,15 +184,5 @@ object GraphGen {
     }
     import spark.implicits._
     Seq((srcs, dsts)).toDF("src", "dst").select(inline(arrays_zip(col("src"), col("dst"))))
-  }
-
-  /** Degree DataFrame (undirected semantics) for a directed-pair edge set:
-    * used by Table 2/5 statistics and Oracle-validated in tests.
-    */
-  def degrees(edges: DataFrame): DataFrame = {
-    val sym = edges.select(col("src") as "v", col("dst") as "w")
-      .union(edges.select(col("dst") as "v", col("src") as "w"))
-      .where(col("v") =!= col("w")).distinct()
-    sym.groupBy("v").agg(count(lit(1)) as "degree")
   }
 }

@@ -1,8 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Graph partitioning for the blocked disk layout.
   *
   * The paper's §6.2/§7.5 compares the default sequential partition with a
@@ -12,15 +9,21 @@ import org.apache.spark.sql.functions._
   *
   *   1. BFS renumbering from the lowest-ID vertex of each component, which
   *      already gives web-like graphs near-METIS locality, then
-  *   2. a bounded number of Linear-Deterministic-Greedy (LDG) refinement
-  *      sweeps that move vertices to the neighboring block with the highest
-  *      connectivity, subject to a hard balance cap (the paper caps block
-  *      size imbalance at 1.03x).
+  *   2. at most `RefineSweeps` Linear-Deterministic-Greedy (LDG)
+  *      refinement sweeps that move vertices to the neighboring block with
+  *      the highest connectivity, subject to a hard balance cap of
+  *      `BalanceCap` (the paper caps block size imbalance at 1.03x), or
+  *   3. boundaries snapped to low-crossing gaps within `SnapSlack` of a
+  *      block's bytes.
   *
   * The achieved edge-cut is reported next to the paper's METIS numbers in
   * EXPERIMENTS.md.
   */
 object Partitioner {
+
+  private final val RefineSweeps = 3
+  private final val BalanceCap = 1.03
+  private final val SnapSlack = 0.35
 
   /** BFS vertex ordering: returns `order(i) = old vertex id visited i-th`. */
   def bfsOrder(g: CsrGraph): Array[Int] = {
@@ -55,8 +58,7 @@ object Partitioner {
     * is never worse than the plain sequential partition — mirroring that
     * METIS only ever improves on the default in §7.5.
     */
-  def locality(g: CsrGraph, nBlocks: Int, refineSweeps: Int = 3,
-               balanceCap: Double = 1.03): BlockedGraph = {
+  def locality(g: CsrGraph, nBlocks: Int): BlockedGraph = {
     val bfsPerm = {
       val order = bfsOrder(g)
       val perm = new Array[Int](g.nV)
@@ -66,21 +68,20 @@ object Partitioner {
     }
     val candidates = Seq(g, g.relabel(bfsPerm)).flatMap { base =>
       val seq = BlockedGraph.sequential(base, nBlocks)
-      Seq(seq, ldgRefine(base, seq, refineSweeps, balanceCap),
-          snappedSequential(base, nBlocks))
+      Seq(seq, ldgRefine(base, seq), snappedSequential(base, nBlocks))
     }
     candidates.minBy(_.edgeCut)
   }
 
   /** Contiguous blocking with boundaries snapped to low-crossing positions:
-    * each boundary may move within ±`slackFrac` of a block's bytes from its
+    * each boundary may move within ±`SnapSlack` of a block's bytes from its
     * byte-balanced target to the position crossed by the fewest edges.
     * On host-structured web graphs this lands boundaries in the gaps
     * between clusters, which is the essence of what METIS buys in §7.5
     * (blocks become whole communities). Trades a bounded byte imbalance
-    * (≤ ~2x slackFrac) for the cut reduction.
+    * (≤ ~2x SnapSlack) for the cut reduction.
     */
-  def snappedSequential(g: CsrGraph, nBlocks: Int, slackFrac: Double = 0.35): BlockedGraph = {
+  def snappedSequential(g: CsrGraph, nBlocks: Int): BlockedGraph = {
     if (nBlocks <= 1) return BlockedGraph.sequential(g, nBlocks)
     // crossings(p): directed edges (u, v) with u < p <= v, i.e. edges cut by
     // a boundary placed before vertex p. Built by range increment + prefix.
@@ -103,7 +104,7 @@ object Partitioner {
     def bytesBefore(v: Int): Long = 4L * v + 4L * g.offsets(v)
     val total = bytesBefore(g.nV)
     val blockBytes = total.toDouble / nBlocks
-    val slack = (blockBytes * slackFrac).toLong
+    val slack = (blockBytes * SnapSlack).toLong
 
     val starts = new Array[Int](nBlocks + 1)
     starts(nBlocks) = g.nV
@@ -128,17 +129,16 @@ object Partitioner {
   /** LDG refinement: repeatedly move each vertex to the neighboring block
     * with the highest connectivity, under a hard balance cap.
     */
-  private def ldgRefine(g: CsrGraph, start: BlockedGraph, refineSweeps: Int,
-                        balanceCap: Double): BlockedGraph = {
+  private def ldgRefine(g: CsrGraph, start: BlockedGraph): BlockedGraph = {
     val nBlocks = start.nBlocks
     val assign = Array.tabulate(g.nV)(start.blockOf)
     val sizes = new Array[Int](nBlocks)
     assign.foreach(b => sizes(b) += 1)
-    val cap = math.max(1, math.ceil(g.nV.toDouble / nBlocks * balanceCap).toInt)
+    val cap = math.max(1, math.ceil(g.nV.toDouble / nBlocks * BalanceCap).toInt)
 
     val tally = new Array[Int](nBlocks)
     var sweep = 0
-    while (sweep < refineSweeps) {
+    while (sweep < RefineSweeps) {
       var moved = 0
       var v = 0
       while (v < g.nV) {
@@ -159,7 +159,7 @@ object Partitioner {
         v += 1
       }
       sweep += 1
-      if (moved == 0) sweep = refineSweeps
+      if (moved == 0) sweep = RefineSweeps
     }
     BlockedGraph.fromAssignment(g, compactAssignment(assign))._1
   }
@@ -169,19 +169,5 @@ object Partitioner {
     val present = assign.distinct.sorted
     val remap = present.zipWithIndex.toMap
     assign.map(remap)
-  }
-
-  /** Edge-cut as a Spark DataFrame computation over (src, dst, srcBlock,
-    * dstBlock) — the analytical counterpart of `BlockedGraph.edgeCut`,
-    * Oracle-validated in tests.
-    */
-  def edgeCutDf(spark: SparkSession, edges: DataFrame, blockOf: DataFrame): DataFrame = {
-    val e = edges
-      .join(blockOf.withColumnRenamed("v", "src").withColumnRenamed("block", "srcBlock"), "src")
-      .join(blockOf.withColumnRenamed("v", "dst").withColumnRenamed("block", "dstBlock"), "dst")
-    e.agg(
-      count(lit(1)) as "edges",
-      sum(when(col("srcBlock") =!= col("dstBlock"), 1L).otherwise(0L)) as "cut",
-    ).select(col("edges"), col("cut"), (col("cut") / col("edges")) as "edge_cut")
   }
 }

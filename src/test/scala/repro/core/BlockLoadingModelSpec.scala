@@ -66,13 +66,13 @@ class BlockLoadingModelSpec extends AnyFunSuite {
 
   test("Learned policy switches on η at the threshold") {
     val p = new BlockLoading.Learned(Array(0.5, 0.5))
-    assert(p.mode(0, nWalks = 60, nVertices = 100) == BlockLoading.Full)     // η = 0.6
-    assert(p.mode(1, nWalks = 40, nVertices = 100) == BlockLoading.OnDemand) // η = 0.4
+    assert(p.mode(0, BlockLoading.eta(nWalks = 60, nVertices = 100)) == BlockLoading.Full)     // η = 0.6
+    assert(p.mode(1, BlockLoading.eta(nWalks = 40, nVertices = 100)) == BlockLoading.OnDemand) // η = 0.4
   }
 
   test("AlwaysFull / AlwaysOnDemand are constant") {
-    assert(BlockLoading.AlwaysFull.mode(0, 1, 100) == BlockLoading.Full)
-    assert(BlockLoading.AlwaysOnDemand.mode(0, 99, 100) == BlockLoading.OnDemand)
+    assert(BlockLoading.AlwaysFull.mode(0, BlockLoading.eta(1, 100)) == BlockLoading.Full)
+    assert(BlockLoading.AlwaysOnDemand.mode(0, BlockLoading.eta(99, 100)) == BlockLoading.OnDemand)
   }
 
   // ---- loading + BlockAccess ------------------------------------------

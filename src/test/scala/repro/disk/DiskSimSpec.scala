@@ -138,8 +138,9 @@ class DiskSimSpec extends AnyFunSuite {
     s.readBlock(0, 10); s.readVertices(2); s.chargeStep(3, secondOrder = true)
     val m = s.snapshot
     assert(m.blockIOCount == 1 && m.vertexIOCount == 2 && m.steps == 1)
-    assert(m.wallTimeSec == s.wallTimeSec)
-    assert(m.ioTimeSec == s.ioTimeSec)
+    assert(m.wallTimeSec == s.wallTimeSec && m.execTimeSec == s.execTimeSec)
+    assert(m.blockIOTimeSec == s.blockIOTimeSec && m.vertexIOTimeSec == s.vertexIOTimeSec &&
+           m.walkIOTimeSec == s.walkIOTimeSec)
   }
 
   test("paperSsd cost model has sensible orderings") {

@@ -74,7 +74,7 @@ class SchedulingSpec extends AnyFunSuite {
   }
 
   test("GraphWalker mix chooses Max-Sum about 80% of the time") {
-    val s = new Scheduling.GraphWalkerMix(p = 0.8)
+    val s = new Scheduling.GraphWalkerMix
     val p = pools(Seq(10, 1), Seq(5, 1)) // Max-Sum -> 0, Min-Height -> 1
     val picks = (0L until 2000L).map(s.choose(p, -1, _))
     val frac0 = picks.count(_ == 0).toDouble / picks.size

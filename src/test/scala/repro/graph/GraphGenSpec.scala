@@ -2,7 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 
 class GraphGenSpec extends SparkSpec {
   import spark.implicits._
@@ -79,21 +79,6 @@ class GraphGenSpec extends SparkSpec {
       GraphGen.rmat(spark, 4, 10, a = 0.8, b = 0.3, c = 0.2, seed = 1))
   }
 
-  test("locality graph concentrates edges near the diagonal") {
-    val df = GraphGen.locality(spark, nV = 2000, nPairs = 10000, window = 20, longFrac = 0.05, seed = 8).cache()
-    val near = df.where(abs($"src" - $"dst") <= 100 || abs($"src" - $"dst") >= 1900).count()
-    assert(near.toDouble / df.count() > 0.85, s"near fraction ${near.toDouble / df.count()}")
-  }
-
-  test("locality graph yields much lower sequential edge-cut than ER") {
-    val loc = CsrGraph.fromDataFrame(
-      GraphGen.locality(spark, 2000, 10000, window = 20, longFrac = 0.05, seed = 9), 2000)
-    val er = CsrGraph.fromDataFrame(GraphGen.erdosRenyi(spark, 2000, 10000, seed = 10), 2000)
-    val cutLoc = BlockedGraph.sequential(loc, 8).edgeCut
-    val cutEr = BlockedGraph.sequential(er, 8).edgeCut
-    assert(cutLoc < cutEr / 2, s"loc=$cutLoc er=$cutEr")
-  }
-
   test("clusteredWeb concentrates most edges inside contiguous clusters") {
     val nV = 4000
     val g = CsrGraph.fromDataFrame(
@@ -134,28 +119,6 @@ class GraphGenSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](GraphGen.barabasiAlbert(spark, 5, 0, 1))
   }
 
-  test("degrees DataFrame matches DuckDB (Oracle)") {
-    val edges = GraphGen.erdosRenyi(spark, 50, 300, seed = 12).cache()
-    val deg = GraphGen.degrees(edges)
-    Oracle.assertEquivalent(
-      deg,
-      """WITH sym AS (
-        |  SELECT CAST(src AS INT) AS v, CAST(dst AS INT) AS w FROM edges
-        |  UNION SELECT CAST(dst AS INT), CAST(src AS INT) FROM edges
-        |)
-        |SELECT v, COUNT(*) AS degree FROM sym WHERE v <> w GROUP BY v""".stripMargin,
-      "edges" -> edges)
-  }
-
-  test("degrees agree with the CSR builder's degrees") {
-    val edges = GraphGen.erdosRenyi(spark, 80, 400, seed = 13).cache()
-    val g = CsrGraph.fromDataFrame(edges, 80)
-    val fromDf = GraphGen.degrees(edges).collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap
-    for (v <- 0 until 80)
-      assert(fromDf.getOrElse(v, 0L) == g.degree(v).toLong, s"vertex $v")
-  }
-
   test("seeded generators give the same graph whatever the leaf-node parallelism") {
     val key = "spark.sql.leafNodeDefaultParallelism"
     val saved = spark.conf.getOption(key)
@@ -164,15 +127,32 @@ class GraphGenSpec extends SparkSpec {
       Seq(
         GraphGen.erdosRenyi(spark, 300, 2000, seed = 3),
         GraphGen.rmat(spark, levels = 8, nPairs = 2000, a = 0.57, b = 0.19, c = 0.19, seed = 4),
-        GraphGen.locality(spark, 300, 2000, window = 10, longFrac = 0.1, seed = 5),
         GraphGen.clusteredWeb(spark, 300, 2000, meanCluster = 20, intraFrac = 0.8, seed = 6),
         GraphGen.sbm(spark, 3, 40, pIn = 0.5, pOut = 0.1, seed = 7),
       ).map(sortedPacked(_).toSeq)
     }
     try {
       val (two, four) = (underParallelism(2), underParallelism(4))
-      for ((name, i) <- Seq("ER", "R-MAT", "locality", "clusteredWeb", "SBM").zipWithIndex)
+      for ((name, i) <- Seq("ER", "R-MAT", "clusteredWeb", "SBM").zipWithIndex)
         assert(two(i) == four(i), s"$name differs between parallelism 2 and 4")
+    } finally saved match {
+      case Some(v) => spark.conf.set(key, v)
+      case None    => spark.conf.unset(key)
+    }
+  }
+
+  test("sbm gives the same graph whether or not joins may broadcast") {
+    val key = "spark.sql.autoBroadcastJoinThreshold"
+    val saved = spark.conf.getOption(key)
+    def underThreshold(t: String): Array[Long] = {
+      spark.conf.set(key, t)
+      sortedPacked(GraphGen.sbm(spark, 3, 40, pIn = 0.5, pOut = 0.1, seed = 3))
+    }
+    try {
+      val broadcast = underThreshold("10MB") // Spark's default
+      val sortMerge = underThreshold("-1")
+      assert(broadcast.sameElements(sortMerge),
+        s"${broadcast.length} pairs with broadcast joins, ${sortMerge.length} without")
     } finally saved match {
       case Some(v) => spark.conf.set(key, v)
       case None    => spark.conf.unset(key)
