@@ -16,31 +16,17 @@ import repro.walk.WalkTask
   */
 object Scale {
 
-  /** Paper workload sizes (§7.1): RWNV = 10 walks/vertex x length 80;
-    * PRNV = 4|V| total samples for the real graphs, 4|V| per query x 100
-    * query nodes for the Table 5/6 synthetic family; DeepWalk = 10 x 80.
+  /** σ_W for `task` on `spec`'s paper graph (§7.1 workloads). RWNV and
+    * DeepWalk: paper 10 walks/vertex x length 80 over the lite task's walks
+    * x length. PRNV: 4|V| total samples over the lite task's walks; both
+    * sides share the expected length E[min(Geom(stop), maxLen)], which
+    * cancels.
     */
-  def paperSteps(spec: GraphSpec, task: WalkTask): Double = task.name match {
-    case "RWNV" | "DeepWalk" => 10.0 * spec.paperV * 80
-    case "PRNV"              => spec.paperPrnvWalks.toDouble * expectedPrnvLen(task)
+  def walkScale(spec: GraphSpec, task: WalkTask): Double = task.name match {
+    case "RWNV" | "DeepWalk" => 10.0 * spec.paperV * 80 / (task.totalWalks.toDouble * task.maxLen)
+    case "PRNV"              => 4.0 * spec.paperV / task.totalWalks
     case other               => throw new IllegalArgumentException(s"unknown task $other")
   }
-
-  private def expectedPrnvLen(task: WalkTask): Double = {
-    // E[min(Geom(stop), maxLen)] — identical for paper and lite, so it
-    // cancels in the ratio; kept explicit for readability.
-    val p = task.stopProb
-    if (p <= 0) task.maxLen.toDouble
-    else (1 - math.pow(1 - p, task.maxLen.toDouble)) / p
-  }
-
-  def liteSteps(task: WalkTask): Double = task.name match {
-    case "PRNV" => task.totalWalks.toDouble * expectedPrnvLen(task)
-    case _      => task.totalWalks.toDouble * task.maxLen
-  }
-
-  def walkScale(spec: GraphSpec, task: WalkTask): Double =
-    paperSteps(spec, task) / liteSteps(task)
 
   def byteScale(spec: GraphSpec, bg: BlockedGraph): Double =
     spec.paperCsrBytes.toDouble / bg.totalBytes

@@ -2,7 +2,7 @@ package repro.bench
 
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import repro.core.{BiBlockEngine, BlockLoading, LblTrainer}
+import repro.core.{BiBlockEngine, BlockLoading, LblTrainer, LoadLogCollector}
 import repro.disk.DiskSim
 import repro.engine._
 import repro.graph.{Datasets, GraphSpec}
@@ -37,29 +37,20 @@ object Tables {
   // ---- memoized engine runs -------------------------------------------
 
   private val runCache = mutable.Map.empty[(String, String, String, String), DiskSim.Metrics]
-  private val lblCache = mutable.Map.empty[(String, String, String), BlockLoading.Learned]
+  private val lblCache = mutable.Map.empty[(String, String, String, String), BlockLoading.Learned]
 
-  /** Train the learning-based loading model for the bi-block engine (§5.2.2
-    * protocol: one profiling run under full load, one under on-demand load,
-    * then per-block regression).
+  /** Train the learning-based loading model (§5.2.2 protocol: one
+    * profiling run under full load, one under on-demand load, then
+    * per-block regression) for the engine `profiled` builds from a policy
+    * and a log. `engineKind` keeps each engine's policy apart in the cache.
     */
-  def lblPolicy(spec: GraphSpec, partition: String, taskKind: String)
-               (implicit spark: SparkSession): BlockLoading.Learned =
-    lblCache.getOrElseUpdate((spec.name, partition, taskKind), {
+  private def lblPolicy(spec: GraphSpec, partition: String, taskKind: String, engineKind: String)
+                       (profiled: (BlockLoading.Policy, LoadLogCollector) => WalkEngine)
+                       (implicit spark: SparkSession): BlockLoading.Learned =
+    lblCache.getOrElseUpdate((spec.name, partition, taskKind, engineKind), {
       val bg = Datasets.blocked(spec, partition)
       val t = task(spec, taskKind)
-      LblTrainer.learn(bg.nBlocks)((policy, log) =>
-        new BiBlockEngine(policy, log).run(bg, t, Scale.sim(spec, bg, t)))
-    })
-
-  /** Same protocol for first-order current-block loading (Table 7). */
-  def lblPolicyFirstOrder(spec: GraphSpec, partition: String)
-                         (implicit spark: SparkSession): BlockLoading.Learned =
-    lblCache.getOrElseUpdate((spec.name, partition, "FO-DeepWalk"), {
-      val bg = Datasets.blocked(spec, partition)
-      val t = task(spec, "DeepWalk")
-      LblTrainer.learn(bg.nBlocks)((policy, log) =>
-        new FirstOrderEngine(new Scheduling.Iteration, policy, log).run(bg, t, Scale.sim(spec, bg, t)))
+      LblTrainer.learn(bg.nBlocks)((policy, log) => profiled(policy, log).run(bg, t, Scale.sim(spec, bg, t)))
     })
 
   private def engineFor(kind: String, spec: GraphSpec, partition: String, taskKind: String)
@@ -68,10 +59,12 @@ object Tables {
     case "Bi-Block"       => new BiBlockEngine(BlockLoading.AlwaysFull)
     case "SOGW"           => new SogwEngine(staticCache = false)
     case "SGSC"           => new SogwEngine(staticCache = true)
-    case "GraSorw"        => new BiBlockEngine(lblPolicy(spec, partition, taskKind))
+    case "GraSorw"        =>
+      new BiBlockEngine(lblPolicy(spec, partition, taskKind, kind)(new BiBlockEngine(_, _)))
     case "FO-GraphWalker" => new FirstOrderEngine(new Scheduling.GraphWalkerMix(), BlockLoading.AlwaysFull)
     case "FO-NoLBL"       => new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysFull)
-    case "FO-GraSorw"     => new FirstOrderEngine(new Scheduling.Iteration, lblPolicyFirstOrder(spec, partition))
+    case "FO-GraSorw"     => new FirstOrderEngine(new Scheduling.Iteration,
+      lblPolicy(spec, partition, taskKind, kind)(new FirstOrderEngine(new Scheduling.Iteration, _, _)))
     case s if s.startsWith("FO:") => new FirstOrderEngine(Scheduling.byName(s.drop(3)), BlockLoading.AlwaysFull)
     case other            => throw new IllegalArgumentException(s"unknown engine kind $other")
   }

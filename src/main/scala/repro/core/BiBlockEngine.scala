@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.disk.DiskSim
-import repro.engine.{Init, Residency, TraceCollector, WalkBuffer, WalkEngine, Walker}
+import repro.engine.{Init, TraceCollector, WalkBuffer, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -12,8 +12,17 @@ import repro.walk.WalkTask
   * (skipping empty buckets, like the iteration-based current schedule skips
   * empty pools). Walks live in the skewed storage (min-block pools), are
   * collected into buckets by Eq. 4, advance while their current vertex stays
-  * inside either in-memory block, and are re-associated by the Alg. 2 case
-  * analysis — including the bucket-extending rule of line 14.
+  * inside either in-memory block, and are then re-associated (Alg. 2).
+  *
+  * Alg. 2's case analysis is the skewed storage's own rule plus
+  * bucket-extending. A walk that leaves {b, i} stepped last inside the pair,
+  * so its previous block is b or i, and its current block is neither. If
+  * it moved from b to a block beyond i, it joins that block's bucket in the
+  * same sweep (line 14). Every other case (cur < b; b < cur < i from
+  * either block; cur > i from i) sends it to pool min(B(pre), B(cur)) —
+  * b, cur or i — with one walk I/O, which is `SkewedWalkStorage.persist`.
+  * An ancillary load goes through `BlockLoading.load`, which decides its
+  * mode from η, charges it and logs its LBL sample.
   *
   * @param policy  ancillary-block loading policy (§5): pure full load,
   *                pure on-demand, or the learned threshold model
@@ -65,33 +74,21 @@ final class BiBlockEngine(
           while (i < nB) {
             val bucket = buckets(i)
             if (bucket.nonEmpty) {
-              val t0  = sim.wallTimeSec
-              val eta = BlockLoading.eta(bucket.length, bg.verticesInBlock(i))
-              val access = BlockLoading.load(bg, i, policy.mode(i, eta), bucket, sim)
-              val mem = new BiBlockEngine.Pair(bg, b, i, access)
-
+              val mem = BlockLoading.load(bg, b, i, policy, bucket, sim)
               var idx = 0
               while (idx < bucket.length) {
-                // UpdateWalk: advance while the walk stays in-memory.
+                // UpdateWalk: advance while the walk stays in-memory, then
+                // persist it (Alg. 2).
                 if (walker.advance(bucket, idx, mem)) {
-                  // Walk persistence — Alg. 2 case analysis.
                   val cur = bg.blockOf(bucket.cur(idx))
-                  val pre = bg.blockOf(bucket.prev(idx))
-                  if (cur < b) { storage.persist(bucket, idx); sim.walkIO(1) }
-                  else if (cur < i) { // b < cur < i
-                    if (pre == b) { storage.pools.add(b, bucket, idx); sim.walkIO(1) }
-                    else { storage.persist(bucket, idx); sim.walkIO(1) }
-                  } else { // cur > i
-                    if (pre == b) buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)
-                    else { storage.pools.add(i, bucket, idx); sim.walkIO(1) }
-                  }
+                  if (cur > i && bg.blockOf(bucket.prev(idx)) == b)
+                    buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)
+                  else { storage.persist(bucket, idx); sim.walkIO(1) }
                 }
                 idx += 1
               }
               bucket.clear()
-
-              if (loadLog != null)
-                loadLog.record(i, eta, sim.wallTimeSec - t0)
+              mem.logTo(loadLog)
             }
             i += 1
           }
@@ -100,21 +97,5 @@ final class BiBlockEngine(
       }
     }
     walker.finish()
-  }
-}
-
-object BiBlockEngine {
-
-  /** The current block `b` and ancillary block `i` of a time slot; a step
-    * touches its vertices in the ancillary block, which an on-demand load
-    * may not have made resident yet.
-    */
-  private final class Pair(bg: BlockedGraph, b: Int, i: Int, access: BlockLoading.BlockAccess)
-      extends Residency {
-    def holds(block: Int): Boolean = block == b || block == i
-    override def touch(prev: Int, cur: Int): Unit = {
-      if (bg.blockOf(cur) == i) access.touch(cur)
-      if (prev >= 0 && bg.blockOf(prev) == i) access.touch(prev)
-    }
   }
 }

@@ -1,9 +1,8 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
-import repro.engine.WalkBuffer
+import repro.engine.{Residency, WalkBuffer}
 import repro.graph.BlockedGraph
 
 /** Block loading (§5): the full-load and on-demand-load methods, and the
@@ -16,55 +15,63 @@ object BlockLoading {
   case object Full extends Mode
   case object OnDemand extends Mode
 
-  /** Resident-data view of one loaded block. Under on-demand load, only the
-    * activated vertices' CSR segmentations are resident; touching a missing
-    * vertex during execution incurs the "few random vertex I/Os" of §5.1.
+  /** The blocks of a time slot in memory: block `i` as `load` brought it
+    * in, and the current block `b`, which the engine loaded in full (the
+    * first-order engine's one block is `i == b`). Under on-demand load only
+    * the activated vertices' CSR segmentations of `i` are resident; a step
+    * whose current vertex is another vertex of `i` pays one light vertex
+    * I/O for it (§5.1), once. A step touches only its current vertex: its
+    * previous vertex was either its current vertex one step earlier,
+    * touched then, or activated at load.
     */
-  final class BlockAccess private[BlockLoading] (
-      bg: BlockedGraph, val block: Int, val mode: Mode,
-      loaded: java.util.BitSet, sim: DiskSim) {
+  final class Loaded private[BlockLoading] (
+      bg: BlockedGraph, b: Int, i: Int, loaded: java.util.BitSet,
+      eta: Double, t0: Double, sim: DiskSim) extends Residency {
 
-    /** Ensure vertex `v` (must belong to this block) is resident. */
-    def touch(v: Int): Unit = mode match {
-      case Full => ()
-      case OnDemand =>
-        val off = v - bg.blockStart(block)
+    def holds(block: Int): Boolean = block == b || block == i
+
+    override def touch(prev: Int, cur: Int): Unit =
+      if (loaded != null && bg.blockOf(cur) == i) {
+        val off = cur - bg.blockStart(i)
         if (!loaded.get(off)) { sim.readVertices(1); loaded.set(off) }
-    }
+      }
+
+    /** Record this load's (i, η, t) sample into `log`, if given; `t` is the
+      * simulated time from the load to now, so call it after the slot.
+      */
+    def logTo(log: LoadLogCollector): Unit =
+      if (log != null) log.record(i, eta, sim.wallTimeSec - t0)
   }
 
-  /** Load block `b` with the given mode, charging `sim`.
-    *
-    * @param walks  the walk set W whose activated vertices drive on-demand
-    *               loading (their pre/cur vertices inside `b`); ignored for
-    *               full load
+  /** Load block `i` for a time slot whose current block is `b`: take
+    * η = |W| / |V_i| of the walks `walks` that will step under it, let
+    * `policy` pick the mode, and charge `sim` a full load or the on-demand
+    * load of the vertices the walks activate (their previous and current
+    * vertices inside `i`, the Vertex Map of Fig. 5).
     */
-  def load(bg: BlockedGraph, b: Int, mode: Mode, walks: WalkBuffer,
-           sim: DiskSim): BlockAccess = mode match {
-    case Full =>
-      sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
-      new BlockAccess(bg, b, Full, null, sim)
-    case OnDemand =>
-      // Tally activated vertices (Vertex Map of Fig. 5), then load only
-      // their CSR segmentations as light I/Os.
-      val bits = new java.util.BitSet(bg.verticesInBlock(b))
-      var n = 0L
-      var k = 0
-      while (k < walks.length) {
-        val cur = walks.cur(k)
-        if (bg.blockOf(cur) == b) {
-          val off = cur - bg.blockStart(b)
-          if (!bits.get(off)) { bits.set(off); n += 1 }
+  def load(bg: BlockedGraph, b: Int, i: Int, policy: Policy, walks: WalkBuffer,
+           sim: DiskSim): Loaded = {
+    val t0 = sim.wallTimeSec
+    val eta = BlockLoading.eta(walks.length, bg.verticesInBlock(i))
+    val loaded = policy.mode(i, eta) match {
+      case Full =>
+        sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
+        null
+      case OnDemand =>
+        val bits = new java.util.BitSet(bg.verticesInBlock(i))
+        var k = 0
+        while (k < walks.length) {
+          val cur = walks.cur(k)
+          val prev = walks.prev(k)
+          if (bg.blockOf(cur) == i) bits.set(cur - bg.blockStart(i))
+          if (prev >= 0 && bg.blockOf(prev) == i) bits.set(prev - bg.blockStart(i))
+          k += 1
         }
-        val prev = walks.prev(k)
-        if (prev >= 0 && bg.blockOf(prev) == b) {
-          val off = prev - bg.blockStart(b)
-          if (!bits.get(off)) { bits.set(off); n += 1 }
-        }
-        k += 1
-      }
-      if (n > 0) sim.readVertices(n)
-      new BlockAccess(bg, b, OnDemand, bits, sim)
+        val n = bits.cardinality()
+        if (n > 0) sim.readVertices(n)
+        bits
+    }
+    new Loaded(bg, b, i, loaded, eta, t0, sim)
   }
 
   /** η = |W| / |V_b| (§5.2): walks loading a block per vertex of it. */
@@ -80,34 +87,6 @@ object BlockLoading {
   /** The learned threshold policy (§5.2.2): full load iff η > η₀(block). */
   final class Learned(val thresholds: Array[Double]) extends Policy {
     def mode(block: Int, eta: Double): Mode = if (eta > thresholds(block)) Full else OnDemand
-  }
-}
-
-/** Ordinary least squares on one predictor, with or without intercept. */
-object Regression {
-  final case class Fit(slope: Double, intercept: Double) {
-    def predict(x: Double): Double = slope * x + intercept
-  }
-
-  def fit(xs: ArrayBuffer[Double], ys: ArrayBuffer[Double], withIntercept: Boolean): Fit = {
-    require(xs.length == ys.length && xs.nonEmpty, "need aligned, non-empty samples")
-    if (!withIntercept) {
-      var sxy = 0.0; var sxx = 0.0
-      var i = 0
-      while (i < xs.length) { sxy += xs(i) * ys(i); sxx += xs(i) * xs(i); i += 1 }
-      Fit(if (sxx == 0) 0.0 else sxy / sxx, 0.0)
-    } else {
-      val n = xs.length
-      var sx = 0.0; var sy = 0.0
-      var i = 0
-      while (i < n) { sx += xs(i); sy += ys(i); i += 1 }
-      val mx = sx / n; val my = sy / n
-      var sxy = 0.0; var sxx = 0.0
-      i = 0
-      while (i < n) { sxy += (xs(i) - mx) * (ys(i) - my); sxx += (xs(i) - mx) * (xs(i) - mx); i += 1 }
-      val slope = if (sxx == 0) 0.0 else sxy / sxx
-      Fit(slope, my - slope * mx)
-    }
   }
 }
 
@@ -134,6 +113,7 @@ object LoadLogCollector {
   * pooled fit over all blocks.
   */
 object LblTrainer {
+  private[core] type Samples = scala.collection.IndexedSeq[LoadLogCollector.Sample]
   private val MinSamplesPerBlock = 3
 
   /** The §5.2.2 profiling protocol: one run under full load and one under
@@ -149,31 +129,22 @@ object LblTrainer {
   }
 
   def train(nBlocks: Int, fullLog: LoadLogCollector, onDemandLog: LoadLogCollector): BlockLoading.Learned = {
-    def byBlock(log: LoadLogCollector): Map[Int, ArrayBuffer[(Double, Double)]] = {
-      val m = mutable.Map.empty[Int, ArrayBuffer[(Double, Double)]]
-      log.samples.foreach(s => m.getOrElseUpdate(s.block, new ArrayBuffer) += ((s.eta, s.timeSec)))
-      m.toMap
-    }
-    val fullBy = byBlock(fullLog)
-    val odBy   = byBlock(onDemandLog)
-
     // §5.2.1: the t_o–η model is linear only for η < η₀ (above it, the
     // activated set saturates at the block size). Since η₀ is what we are
     // solving for, fit iteratively: start from all samples, then refit the
     // on-demand model on the sub-threshold region until stable.
-    def fitPair(full: ArrayBuffer[(Double, Double)], od: ArrayBuffer[(Double, Double)]): Option[Double] = {
+    def fitPair(full: Samples, od: Samples): Option[Double] = {
       if (full.length < 2 || od.isEmpty) None
       else {
-        val ff = Regression.fit(full.map(_._1), full.map(_._2), withIntercept = true)
+        val (alphaF, bF) = lineFit(full)
         var cap = Double.PositiveInfinity
         var eta0 = Double.PositiveInfinity
         var iter = 0
         while (iter < 4) {
-          val sub = od.filter(_._1 <= cap)
+          val sub = od.filter(_.eta <= cap)
           if (sub.isEmpty) iter = 4 // keep the last stable estimate
           else {
-            val fo = Regression.fit(sub.map(_._1), sub.map(_._2), withIntercept = false)
-            eta0 = threshold(ff, fo)
+            eta0 = threshold(alphaF, bF, originFit(sub))
             cap = eta0
             iter += 1
           }
@@ -182,11 +153,9 @@ object LblTrainer {
       }
     }
 
-    val pooledFull = new ArrayBuffer[(Double, Double)]
-    fullLog.samples.foreach(s => pooledFull += ((s.eta, s.timeSec)))
-    val pooledOd = new ArrayBuffer[(Double, Double)]
-    onDemandLog.samples.foreach(s => pooledOd += ((s.eta, s.timeSec)))
-    val pooledEta = fitPair(pooledFull, pooledOd).getOrElse(0.0)
+    val fullBy = fullLog.samples.groupBy(_.block)
+    val odBy   = onDemandLog.samples.groupBy(_.block)
+    val pooledEta = fitPair(fullLog.samples, onDemandLog.samples).getOrElse(0.0)
 
     val thresholds = Array.tabulate(nBlocks) { b =>
       val enough = fullBy.get(b).exists(_.length >= MinSamplesPerBlock) &&
@@ -196,14 +165,42 @@ object LblTrainer {
     new BlockLoading.Learned(thresholds)
   }
 
+  /** Least-squares line t = α·η + b through `ss`: (α, b). */
+  private[core] def lineFit(ss: Samples): (Double, Double) = {
+    require(ss.nonEmpty, "need samples")
+    val n = ss.length
+    var sx = 0.0; var sy = 0.0
+    var i = 0
+    while (i < n) { sx += ss(i).eta; sy += ss(i).timeSec; i += 1 }
+    val mx = sx / n; val my = sy / n
+    var sxy = 0.0; var sxx = 0.0
+    i = 0
+    while (i < n) {
+      val dx = ss(i).eta - mx
+      sxy += dx * (ss(i).timeSec - my); sxx += dx * dx
+      i += 1
+    }
+    val slope = if (sxx == 0) 0.0 else sxy / sxx
+    (slope, my - slope * mx)
+  }
+
+  /** Least-squares slope α of t = α·η through the origin and `ss`. */
+  private[core] def originFit(ss: Samples): Double = {
+    require(ss.nonEmpty, "need samples")
+    var sxy = 0.0; var sxx = 0.0
+    var i = 0
+    while (i < ss.length) { sxy += ss(i).eta * ss(i).timeSec; sxx += ss(i).eta * ss(i).eta; i += 1 }
+    if (sxx == 0) 0.0 else sxy / sxx
+  }
+
   /** η₀ = b_f / (α_o − α_f); if on-demand is never steeper than full
     * (α_o ≤ α_f) on-demand wins at every η, so the threshold is +∞;
     * a non-positive b_f makes full load free, threshold 0.
     */
-  def threshold(full: Regression.Fit, onDemand: Regression.Fit): Double = {
-    val denom = onDemand.slope - full.slope
+  def threshold(alphaF: Double, bF: Double, alphaO: Double): Double = {
+    val denom = alphaO - alphaF
     if (denom <= 0) Double.PositiveInfinity
-    else if (full.intercept <= 0) 0.0
-    else full.intercept / denom
+    else if (bF <= 0) 0.0
+    else bF / denom
   }
 }

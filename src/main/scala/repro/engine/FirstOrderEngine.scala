@@ -45,15 +45,10 @@ final class FirstOrderEngine(
 
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
     driver.run { (b, walks) =>
-      val t0 = sim.wallTimeSec
-      val eta = BlockLoading.eta(walks.length, bg.verticesInBlock(b))
-      val access = BlockLoading.load(bg, b, policy.mode(b, eta), walks, sim)
+      val mem = BlockLoading.load(bg, b, b, policy, walks, sim)
       sim.walkIO(walks.length)
-      driver.advanceAll(walks, new Residency {
-        def holds(block: Int): Boolean = block == b
-        override def touch(prev: Int, cur: Int): Unit = access.touch(cur)
-      })
-      if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
+      driver.advanceAll(walks, mem)
+      mem.logTo(loadLog)
     }
   }
 }

@@ -1,5 +1,6 @@
 package repro.engine
 
+import repro.core.BlockLoading
 import repro.disk.DiskSim
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
@@ -38,8 +39,7 @@ final class PlainBucketEngine extends WalkEngine {
 
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       for (i <- 0 until nB if i != b && buckets(i).nonEmpty) {
-        sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
-        driver.advanceAll(buckets(i), new Residency { def holds(block: Int): Boolean = block == b || block == i })
+        driver.advanceAll(buckets(i), BlockLoading.load(bg, b, i, BlockLoading.AlwaysFull, buckets(i), sim))
         buckets(i).clear()
       }
     }

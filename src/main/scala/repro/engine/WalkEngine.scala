@@ -15,6 +15,10 @@ import repro.walk.WalkTask
   * start and advance walks through one [[Walker]], so trajectories are
   * engine-invariant; an engine differs only in its [[Residency]]: which
   * blocks are in memory and what I/O a step costs to reach its vertices.
+  * The bi-block, PB and first-order engines get theirs from
+  * `BlockLoading.load`, the one call that picks a block's load mode from
+  * η, charges the load and logs its LBL sample; SOGW/SGSC charge their
+  * previous-vertex I/Os themselves.
   * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advance` steps a
   * record in place and returns whether the walk is still alive, and the
   * engine copies a live record into the pool or bucket its rule names.

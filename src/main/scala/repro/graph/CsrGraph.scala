@@ -57,31 +57,21 @@ final class CsrGraph(val nV: Int, val offsets: Array[Int], val neighbors: Array[
     */
   def relabel(perm: Array[Int]): CsrGraph = {
     require(perm.length == nV, "permutation must cover all vertices")
-    val deg = new Array[Int](nV)
+    // Each undirected edge once (its `u < v` entry), renamed; `fromEdges`
+    // symmetrizes it and sorts the lists.
+    val srcs = new Array[Int](nEdgesUndirected.toInt)
+    val dsts = new Array[Int](srcs.length)
+    var k = 0
     var v = 0
-    while (v < nV) { deg(perm(v)) = degree(v); v += 1 }
-    val off = new Array[Int](nV + 1)
-    var i = 0
-    while (i < nV) { off(i + 1) = off(i) + deg(i); i += 1 }
-    val nbr = new Array[Int](neighbors.length)
-    val cursor = java.util.Arrays.copyOf(off, nV)
-    v = 0
     while (v < nV) {
-      val nv = perm(v)
       var j = offsets(v)
       while (j < offsets(v + 1)) {
-        nbr(cursor(nv)) = perm(neighbors(j))
-        cursor(nv) += 1
+        if (v < neighbors(j)) { srcs(k) = perm(v); dsts(k) = perm(neighbors(j)); k += 1 }
         j += 1
       }
       v += 1
     }
-    i = 0
-    while (i < nV) {
-      java.util.Arrays.sort(nbr, off(i), off(i + 1))
-      i += 1
-    }
-    new CsrGraph(nV, off, nbr)
+    CsrGraph.fromEdges(nV, srcs, dsts)
   }
 }
 

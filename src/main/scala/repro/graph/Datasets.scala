@@ -5,20 +5,20 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Registry of the lite dataset analogs.
   *
-  * Each spec carries its paper counterpart's scale constants (CSR bytes,
-  * vertex count, PRNV query count) which drive the DiskSim σ bridging:
+  * Each spec carries its paper counterpart's scale constants (CSR bytes and
+  * vertex count) which drive the DiskSim σ bridging:
   * `byteScale = paperCsrBytes / ourCsrBytes` and
   * `walkScale = paperSteps / ourSteps` (see DESIGN.md).
   *
   * Real-graph analogs (Table 2): structure classes are matched — power-law
-  * R-MAT/BA for LJ/TW/FR/Kron29 (high sequential edge-cut) and the locality
-  * generator for the web graphs UK/CrawlWeb (low sequential edge-cut).
+  * R-MAT/BA for LJ/TW/FR/Kron29 (high sequential edge-cut) and the
+  * clustered-web generator for UK/CrawlWeb (low sequential edge-cut).
   * Block counts equal the paper's.
   *
-  * PRNV paper walk budgets use the §7.1 "total sample size 4|V|" setting
-  * for all datasets: Table 6's reported absolute times are inconsistent
-  * with the heavier 400|V| per-query setting described in its text, and
-  * within-row ratios are unaffected by the choice.
+  * PRNV paper walk budgets (`Scale.walkScale`) use the §7.1 "total sample
+  * size 4|V|" setting for all datasets: Table 6's reported absolute times
+  * are inconsistent with the heavier 400|V| per-query setting described in
+  * its text, and within-row ratios are unaffected by the choice.
   *
   * Synthetic family (Table 5): the same generator families as the paper
   * (circulant, Erdős–Rényi, Barabási–Albert, density ladder, SBM), scaled
@@ -27,12 +27,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 final case class GraphSpec(
     name: String,
-    paperName: String,
     nV: Int,
     nBlocks: Int,
     paperCsrBytes: Long,
     paperV: Long,
-    paperPrnvWalks: Long,
     gen: SparkSession => DataFrame,
 ) {
   override def toString: String = name
@@ -43,29 +41,29 @@ object Datasets {
   private val GB = 1L << 30
 
   // ---- Table 2 analogs -------------------------------------------------
-  val lj = GraphSpec("LJ", "LiveJournal", nV = 12000, nBlocks = 17,
-    paperCsrBytes = 364 * MB, paperV = 4_800_000L, paperPrnvWalks = 4L * 4_800_000L,
+  val lj = GraphSpec("LJ", nV = 12000, nBlocks = 17,
+    paperCsrBytes = 364 * MB, paperV = 4_800_000L,
     gen = s => GraphGen.barabasiAlbert(s, 12000, m = 18, seed = 101))
 
-  val tw = GraphSpec("TW", "Twitter", nV = 16384, nBlocks = 18,
-    paperCsrBytes = (9.3 * GB).toLong, paperV = 41_700_000L, paperPrnvWalks = 4L * 41_700_000L,
+  val tw = GraphSpec("TW", nV = 16384, nBlocks = 18,
+    paperCsrBytes = (9.3 * GB).toLong, paperV = 41_700_000L,
     gen = s => GraphGen.rmat(s, levels = 14, nPairs = 450_000, a = 0.57, b = 0.19, c = 0.19, seed = 102))
 
-  val fr = GraphSpec("FR", "Friendster", nV = 16000, nBlocks = 27,
-    paperCsrBytes = 14 * GB, paperV = 65_600_000L, paperPrnvWalks = 4L * 65_600_000L,
+  val fr = GraphSpec("FR", nV = 16000, nBlocks = 27,
+    paperCsrBytes = 14 * GB, paperV = 65_600_000L,
     gen = s => GraphGen.erdosRenyi(s, 16000, nPairs = 450_000, seed = 103))
 
-  val uk = GraphSpec("UK", "UK200705", nV = 20000, nBlocks = 25,
-    paperCsrBytes = 26 * GB, paperV = 105_000_000L, paperPrnvWalks = 4L * 105_000_000L,
+  val uk = GraphSpec("UK", nV = 20000, nBlocks = 25,
+    paperCsrBytes = 26 * GB, paperV = 105_000_000L,
     gen = s => GraphGen.clusteredWeb(s, 20000, nPairs = 600_000, meanCluster = 600,
                                      intraFrac = 0.9, seed = 104))
 
-  val kron = GraphSpec("Kron29", "Kron29", nV = 16384, nBlocks = 13,
-    paperCsrBytes = 128 * GB, paperV = 277_000_000L, paperPrnvWalks = 4L * 277_000_000L,
+  val kron = GraphSpec("Kron29", nV = 16384, nBlocks = 13,
+    paperCsrBytes = 128 * GB, paperV = 277_000_000L,
     gen = s => GraphGen.rmat(s, levels = 14, nPairs = 700_000, a = 0.57, b = 0.19, c = 0.19, seed = 105))
 
-  val cw = GraphSpec("CW", "CrawlWeb", nV = 24000, nBlocks = 9,
-    paperCsrBytes = 864 * GB, paperV = 3_600_000_000L, paperPrnvWalks = 4L * 3_600_000_000L,
+  val cw = GraphSpec("CW", nV = 24000, nBlocks = 9,
+    paperCsrBytes = 864 * GB, paperV = 3_600_000_000L,
     gen = s => GraphGen.clusteredWeb(s, 24000, nPairs = 900_000, meanCluster = 900,
                                      intraFrac = 0.88, seed = 106))
 
@@ -73,48 +71,48 @@ object Datasets {
   val real: Seq[GraphSpec] = Seq(lj, tw, fr, uk, kron, cw)
 
   // ---- Table 5 synthetic family ---------------------------------------
-  val circulantG = GraphSpec("CirculantG", "CirculantG", nV = 20000, nBlocks = 12,
-    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L, paperPrnvWalks = 4L * 40_000_000L,
+  val circulantG = GraphSpec("CirculantG", nV = 20000, nBlocks = 12,
+    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L,
     gen = s => GraphGen.circulant(s, 20000, k = 20))
 
-  val randomG = GraphSpec("RandomG", "RandomG", nV = 20000, nBlocks = 12,
-    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L, paperPrnvWalks = 4L * 40_000_000L,
+  val randomG = GraphSpec("RandomG", nV = 20000, nBlocks = 12,
+    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L,
     gen = s => GraphGen.erdosRenyi(s, 20000, nPairs = 400_000, seed = 201))
 
-  val basf = GraphSpec("BASF", "BASF", nV = 20000, nBlocks = 12,
-    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L, paperPrnvWalks = 4L * 40_000_000L,
+  val basf = GraphSpec("BASF", nV = 20000, nBlocks = 12,
+    paperCsrBytes = (6.3 * GB).toLong, paperV = 40_000_000L,
     gen = s => GraphGen.barabasiAlbert(s, 20000, m = 20, seed = 202))
 
-  val randomG1 = GraphSpec("RandomG1", "RandomG1", nV = 40000, nBlocks = 10,
-    paperCsrBytes = (2.7 * GB).toLong, paperV = 100_000_000L, paperPrnvWalks = 4L * 100_000_000L,
+  val randomG1 = GraphSpec("RandomG1", nV = 40000, nBlocks = 10,
+    paperCsrBytes = (2.7 * GB).toLong, paperV = 100_000_000L,
     gen = s => GraphGen.erdosRenyi(s, 40000, nPairs = 100_000, seed = 203))
 
-  val randomG2 = GraphSpec("RandomG2", "RandomG2", nV = 4000, nBlocks = 11,
-    paperCsrBytes = (1.9 * GB).toLong, paperV = 10_000_000L, paperPrnvWalks = 4L * 10_000_000L,
+  val randomG2 = GraphSpec("RandomG2", nV = 4000, nBlocks = 11,
+    paperCsrBytes = (1.9 * GB).toLong, paperV = 10_000_000L,
     gen = s => GraphGen.erdosRenyi(s, 4000, nPairs = 100_000, seed = 204))
 
-  val randomG3 = GraphSpec("RandomG3", "RandomG3", nV = 1000, nBlocks = 11,
-    paperCsrBytes = (1.9 * GB).toLong, paperV = 1_000_000L, paperPrnvWalks = 4L * 1_000_000L,
+  val randomG3 = GraphSpec("RandomG3", nV = 1000, nBlocks = 11,
+    paperCsrBytes = (1.9 * GB).toLong, paperV = 1_000_000L,
     gen = s => GraphGen.erdosRenyi(s, 1000, nPairs = 350_000, seed = 205))
 
-  val randomG4 = GraphSpec("RandomG4", "RandomG4", nV = 320, nBlocks = 11,
-    paperCsrBytes = (1.9 * GB).toLong, paperV = 100_000L, paperPrnvWalks = 4L * 100_000L,
+  val randomG4 = GraphSpec("RandomG4", nV = 320, nBlocks = 11,
+    paperCsrBytes = (1.9 * GB).toLong, paperV = 100_000L,
     gen = s => GraphGen.erdosRenyi(s, 320, nPairs = 150_000, seed = 206))
 
-  val randomG5 = GraphSpec("RandomG5", "RandomG5", nV = 160, nBlocks = 10,
-    paperCsrBytes = (1.9 * GB).toLong, paperV = 22_360L, paperPrnvWalks = 4L * 22_360L,
+  val randomG5 = GraphSpec("RandomG5", nV = 160, nBlocks = 10,
+    paperCsrBytes = (1.9 * GB).toLong, paperV = 22_360L,
     gen = s => GraphGen.sbm(s, nBlocks = 1, blockSize = 160, pIn = 1.0, pOut = 0.0, seed = 207))
 
-  val sbm1 = GraphSpec("SBM1", "SBM1", nV = 1260, nBlocks = 21,
-    paperCsrBytes = (2.2 * GB).toLong, paperV = 42_000L, paperPrnvWalks = 4L * 42_000L,
+  val sbm1 = GraphSpec("SBM1", nV = 1260, nBlocks = 21,
+    paperCsrBytes = (2.2 * GB).toLong, paperV = 42_000L,
     gen = s => GraphGen.sbm(s, nBlocks = 21, blockSize = 60, pIn = 0.9, pOut = 0.3, seed = 208))
 
-  val sbm2 = GraphSpec("SBM2", "SBM2", nV = 1260, nBlocks = 21,
-    paperCsrBytes = (4.0 * GB).toLong, paperV = 42_000L, paperPrnvWalks = 4L * 42_000L,
+  val sbm2 = GraphSpec("SBM2", nV = 1260, nBlocks = 21,
+    paperCsrBytes = (4.0 * GB).toLong, paperV = 42_000L,
     gen = s => GraphGen.sbm(s, nBlocks = 21, blockSize = 60, pIn = 0.6, pOut = 0.6, seed = 209))
 
-  val sbm3 = GraphSpec("SBM3", "SBM3", nV = 1260, nBlocks = 21,
-    paperCsrBytes = (5.8 * GB).toLong, paperV = 42_000L, paperPrnvWalks = 4L * 42_000L,
+  val sbm3 = GraphSpec("SBM3", nV = 1260, nBlocks = 21,
+    paperCsrBytes = (5.8 * GB).toLong, paperV = 42_000L,
     gen = s => GraphGen.sbm(s, nBlocks = 21, blockSize = 60, pIn = 0.3, pOut = 0.9, seed = 210))
 
   /** The eleven Table 5 synthetic graphs, in the paper's order. */

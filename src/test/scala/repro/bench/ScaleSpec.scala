@@ -7,8 +7,8 @@ import repro.walk.WalkTask
 
 class ScaleSpec extends AnyFunSuite {
   private val g = TestGraphs.connected(100, 150, seed = 95)
-  private val spec = GraphSpec("X", "X", nV = 100, nBlocks = 4,
-    paperCsrBytes = 1000000L, paperV = 10000L, paperPrnvWalks = 40000L, gen = null)
+  private val spec = GraphSpec("X", nV = 100, nBlocks = 4,
+    paperCsrBytes = 1000000L, paperV = 10000L, gen = null)
 
   test("RWNV walkScale is paper steps over lite steps") {
     val t = WalkTask.rwnv(g, walksPerVertex = 2, len = 40)
@@ -24,12 +24,6 @@ class ScaleSpec extends AnyFunSuite {
   test("PRNV walkScale is the walk-count ratio (lengths cancel)") {
     val t = WalkTask.prnv(g) // 4|V| = 400 walks
     assert(math.abs(Scale.walkScale(spec, t) - 40000.0 / 400) < 1e-9)
-  }
-
-  test("expected PRNV length is the capped geometric mean") {
-    val t = WalkTask.prnv(g, decay = 0.85, maxLen = 20)
-    val expected = (1 - math.pow(0.85, 20)) / 0.15
-    assert(math.abs(Scale.liteSteps(t) / t.totalWalks - expected) < 1e-9)
   }
 
   test("byteScale is the CSR byte ratio") {

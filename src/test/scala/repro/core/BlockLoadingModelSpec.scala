@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.{CostModel, DiskSim}
@@ -14,52 +13,46 @@ class BlockLoadingModelSpec extends AnyFunSuite {
 
   // ---- regression ------------------------------------------------------
 
+  private def samples(pts: Seq[(Double, Double)]) =
+    pts.map { case (eta, t) => LoadLogCollector.Sample(0, eta, t) }.toIndexedSeq
+
   test("OLS with intercept recovers an exact line") {
-    val xs = ArrayBuffer(0.0, 1.0, 2.0, 3.0)
-    val ys = xs.map(x => 2.5 * x + 1.0)
-    val f = Regression.fit(xs, ys, withIntercept = true)
-    assert(math.abs(f.slope - 2.5) < 1e-12 && math.abs(f.intercept - 1.0) < 1e-12)
+    val xs = Seq(0.0, 1.0, 2.0, 3.0)
+    val (slope, intercept) = LblTrainer.lineFit(samples(xs.map(x => (x, 2.5 * x + 1.0))))
+    assert(math.abs(slope - 2.5) < 1e-12 && math.abs(intercept - 1.0) < 1e-12)
   }
 
   test("OLS without intercept recovers a proportional line") {
-    val xs = ArrayBuffer(1.0, 2.0, 5.0)
-    val ys = xs.map(_ * 4.0)
-    val f = Regression.fit(xs, ys, withIntercept = false)
-    assert(math.abs(f.slope - 4.0) < 1e-12 && f.intercept == 0.0)
+    val xs = Seq(1.0, 2.0, 5.0)
+    assert(math.abs(LblTrainer.originFit(samples(xs.map(x => (x, x * 4.0)))) - 4.0) < 1e-12)
   }
 
   test("OLS with intercept is least-squares on noisy data") {
     val rng = new scala.util.Random(5)
-    val xs = ArrayBuffer.tabulate(200)(i => i / 200.0)
-    val ys = xs.map(x => 3.0 * x + 0.5 + (rng.nextDouble() - 0.5) * 0.01)
-    val f = Regression.fit(xs, ys, withIntercept = true)
-    assert(math.abs(f.slope - 3.0) < 0.05 && math.abs(f.intercept - 0.5) < 0.01)
+    val xs = Seq.tabulate(200)(i => i / 200.0)
+    val (slope, intercept) =
+      LblTrainer.lineFit(samples(xs.map(x => (x, 3.0 * x + 0.5 + (rng.nextDouble() - 0.5) * 0.01))))
+    assert(math.abs(slope - 3.0) < 0.05 && math.abs(intercept - 0.5) < 0.01)
   }
 
-  test("OLS rejects empty or misaligned input") {
-    assertThrows[IllegalArgumentException](
-      Regression.fit(ArrayBuffer.empty[Double], ArrayBuffer.empty[Double], withIntercept = true))
-    assertThrows[IllegalArgumentException](
-      Regression.fit(ArrayBuffer(1.0), ArrayBuffer(1.0, 2.0), withIntercept = false))
-  }
-
-  test("predict applies slope and intercept") {
-    assert(Regression.Fit(2.0, 3.0).predict(4.0) == 11.0)
+  test("OLS rejects empty input") {
+    assertThrows[IllegalArgumentException](LblTrainer.lineFit(samples(Nil)))
+    assertThrows[IllegalArgumentException](LblTrainer.originFit(samples(Nil)))
   }
 
   // ---- threshold (η₀ = b_f / (α_o − α_f), §5.2.2) ----------------------
 
   test("threshold matches the paper's formula") {
-    val eta0 = LblTrainer.threshold(Regression.Fit(1.0, 0.3), Regression.Fit(2.5, 0.0))
+    val eta0 = LblTrainer.threshold(alphaF = 1.0, bF = 0.3, alphaO = 2.5)
     assert(math.abs(eta0 - 0.3 / 1.5) < 1e-12)
   }
 
   test("threshold is +inf when on-demand is never steeper") {
-    assert(LblTrainer.threshold(Regression.Fit(3.0, 0.3), Regression.Fit(2.0, 0.0)).isPosInfinity)
+    assert(LblTrainer.threshold(alphaF = 3.0, bF = 0.3, alphaO = 2.0).isPosInfinity)
   }
 
   test("threshold is 0 for a free full load") {
-    assert(LblTrainer.threshold(Regression.Fit(1.0, 0.0), Regression.Fit(2.0, 0.0)) == 0.0)
+    assert(LblTrainer.threshold(alphaF = 1.0, bF = 0.0, alphaO = 2.0) == 0.0)
   }
 
   // ---- policies --------------------------------------------------------
@@ -75,13 +68,13 @@ class BlockLoadingModelSpec extends AnyFunSuite {
     assert(BlockLoading.AlwaysOnDemand.mode(0, BlockLoading.eta(99, 100)) == BlockLoading.OnDemand)
   }
 
-  // ---- loading + BlockAccess ------------------------------------------
+  // ---- loading ---------------------------------------------------------
 
   test("full load charges one block read, touch is free") {
     val s = sim()
-    val a = BlockLoading.load(bg, 1, BlockLoading.Full, new WalkBuffer, s)
+    val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysFull, new WalkBuffer, s)
     assert(s.blockIOCount == 1 && s.vertexIOCount == 0)
-    a.touch(12)
+    a.touch(-1, 12)
     assert(s.vertexIOCount == 0)
   }
 
@@ -92,25 +85,25 @@ class BlockLoadingModelSpec extends AnyFunSuite {
       walk(1, prev = 13, cur = 25, hop = 2), // prev in block 1
       walk(2, prev = 12, cur = 30, hop = 2), // prev 12 again: deduplicated
     )
-    BlockLoading.load(bg, 1, BlockLoading.OnDemand, ws, s)
+    BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysOnDemand, ws, s)
     assert(s.blockIOCount == 0)
     assert(s.vertexIOCount == 2) // {12, 13}
   }
 
   test("on-demand touch charges a miss once, then is resident") {
     val s = sim()
-    val a = BlockLoading.load(bg, 1, BlockLoading.OnDemand,
+    val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysOnDemand,
                               walk(0, prev = 5, cur = 12, hop = 2), s)
     val before = s.vertexIOCount
-    a.touch(14); a.touch(14)
+    a.touch(-1, 14); a.touch(-1, 14)
     assert(s.vertexIOCount == before + 1)
-    a.touch(12) // activated at load time: already resident
+    a.touch(-1, 12) // activated at load time: already resident
     assert(s.vertexIOCount == before + 1)
   }
 
   test("on-demand with no activated vertices charges nothing") {
     val s = sim()
-    BlockLoading.load(bg, 2, BlockLoading.OnDemand,
+    BlockLoading.load(bg, 2, 2, BlockLoading.AlwaysOnDemand,
                       walk(0, prev = 1, cur = 12, hop = 2), s)
     assert(s.vertexIOCount == 0 && s.blockIOCount == 0)
   }

@@ -2,7 +2,7 @@ package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.{BiBlockEngine, LblTrainer}
+import repro.core.{BiBlockEngine, BlockLoading, LblTrainer, LoadLogCollector}
 import repro.disk.DiskSim
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
@@ -15,7 +15,9 @@ import EngineTestKit._
   * storage, bucketing or processing order that merely reorders charges
   * cannot. For the same reason every second-order engine, and every
   * first-order engine, has the same execution time on one task: they take
-  * the same steps.
+  * the same steps. On `connected` it also pins the `(block, η, t)` sample
+  * of every ancillary load of the two BiBlock runs the learned policy is
+  * trained on.
   *
   * Each row is `wallTimeSec execTimeSec blockIOCount blockIOSeqCount
   * blockIOTimeSec vertexIOCount vertexIOTimeSec walkIOTimeSec
@@ -43,8 +45,16 @@ class MetricsPinSpec extends AnyFunSuite {
     * on-demand run of the same task (simulated times, so deterministic).
     */
   private def learned(bg: BlockedGraph, task: WalkTask): WalkEngine =
-    new BiBlockEngine(LblTrainer.learn(bg.nBlocks)((policy, log) =>
-      new BiBlockEngine(policy, log).run(bg, task, new DiskSim())))
+    new BiBlockEngine(LblTrainer.learn(bg.nBlocks)(profile(bg, task)))
+
+  /** One profiling run of `learned`: a BiBlock run under `policy` logging
+    * its ancillary loads into `log`.
+    */
+  private def profile(bg: BlockedGraph, task: WalkTask)(policy: BlockLoading.Policy, log: LoadLogCollector): Unit =
+    new BiBlockEngine(policy, log).run(bg, task, new DiskSim())
+
+  private def samples(log: LoadLogCollector): Seq[String] =
+    log.samples.toSeq.map(s => s"${s.block} ${hex(s.eta)} ${hex(s.timeSec)}")
 
   /** (graph, task, engine index) -> metrics row. Second-order engine index
     * 0-4 is `secondOrderEngines`, 5 the learned BiBlock; first-order index
@@ -133,5 +143,226 @@ class MetricsPinSpec extends AnyFunSuite {
     test(s"first-order engines' execution times are equal ($gName, DeepWalk)") {
       assertOneExecTime(dwRuns)
     }
+  }
+
+  private val connectedRWNVFullSamples = Seq(
+    "1 0x1.e9bd37a6f4deap-2 0x1.ad2bf2a21e76p-14",
+    "2 0x1.1555555555555p-1 0x1.af47d33eb10ap-14",
+    "3 0x1.2762762762762p-1 0x1.b20628e24218p-14",
+    "4 0x1.d89d89d89d89ep-2 0x1.ad684ac58ab4p-14",
+    "5 0x1.0p-1 0x1.afb34e85fbd6p-14",
+    "2 0x1.2aaaaaaaaaaabp-1 0x1.ad55806884ccp-14",
+    "3 0x1.89d89d89d89d9p-2 0x1.aa4d66a83a2p-14",
+    "4 0x1.d89d89d89d89ep-2 0x1.ae2ce4ea99cap-14",
+    "5 0x1.4p-1 0x1.b06f6d21f6b4p-14",
+    "3 0x1.13b13b13b13b1p-1 0x1.aef59398e334p-14",
+    "4 0x1.89d89d89d89d9p-1 0x1.b3159a04c94cp-14",
+    "5 0x1.1555555555555p-1 0x1.ae84d56abfb4p-14",
+    "4 0x1.3b13b13b13b14p-1 0x1.b225f14515fcp-14",
+    "5 0x1.6aaaaaaaaaaabp-1 0x1.af29c2a9dac4p-14",
+    "5 0x1.6p0 0x1.ba82c4d73a2cp-14",
+    "1 0x1.642c8590b2164p-2 0x1.a9b05004f43p-14",
+    "2 0x1.4p-1 0x1.ad6926ac8984p-14",
+    "3 0x1.89d89d89d89d9p-2 0x1.ac65f325b15p-14",
+    "4 0x1.6276276276276p-2 0x1.a9a66f2481e8p-14",
+    "5 0x1.aaaaaaaaaaaabp-2 0x1.a8f7a104f49p-14",
+    "2 0x1.aaaaaaaaaaaabp-2 0x1.aac330c376ap-14",
+    "3 0x1.89d89d89d89d9p-3 0x1.a829787612cp-14",
+    "4 0x1.d89d89d89d89ep-3 0x1.a7f3ff8a9cf8p-14",
+    "5 0x1.aaaaaaaaaaaabp-2 0x1.a97caa645bfp-14",
+    "3 0x1.89d89d89d89d9p-2 0x1.a9be97e54058p-14",
+    "4 0x1.13b13b13b13b1p-1 0x1.ab615a477b18p-14",
+    "5 0x1.0p-1 0x1.a8b9ac906a98p-14",
+    "4 0x1.d89d89d89d89ep-3 0x1.a748858a2b08p-14",
+    "5 0x1.2aaaaaaaaaaabp-2 0x1.a7ede0bcc58p-14",
+    "5 0x1.0p-2 0x1.a6cc9ca11708p-14",
+    "1 0x1.37a6f4de9bd38p-2 0x1.a83e9f8e5568p-14",
+    "2 0x1.d555555555555p-2 0x1.aa4747da62ap-14",
+    "3 0x1.3b13b13b13b14p-3 0x1.a6a2bc64112p-14",
+    "4 0x1.d89d89d89d89ep-4 0x1.a6881b6b362p-14",
+    "5 0x1.5555555555555p-4 0x1.a5658d75097p-14",
+    "2 0x1.5555555555555p-3 0x1.a6f9b5805878p-14",
+    "3 0x1.89d89d89d89d9p-3 0x1.a73093c32c4p-14",
+    "4 0x1.d89d89d89d89ep-4 0x1.a5fd2a37b6e8p-14",
+    "5 0x1.0p-3 0x1.a59c6bb7dd48p-14",
+    "3 0x1.d89d89d89d89ep-4 0x1.a73093c32c4p-14",
+    "4 0x1.89d89d89d89d9p-3 0x1.a7a4f8870acp-14",
+    "5 0x1.0p-3 0x1.a696b5c221cp-14",
+    "5 0x1.5555555555555p-5 0x1.a39e312c3d8ep-11",
+    "5 0x1.5555555555555p-5 0x1.a4f6d98b834p-14",
+    "1 0x1.642c8590b2164p-3 0x1.a6356dd1e8dp-14",
+    "2 0x1.5555555555555p-5 0x1.a4ff8c0e571p-14",
+    "3 0x1.3b13b13b13b14p-4 0x1.a566d74f87bp-14",
+    "2 0x1.5555555555555p-5 0x1.a507ec1a8b8p-14",
+    "3 0x1.3b13b13b13b14p-4 0x1.a5b8fb7875ap-14",
+    "4 0x1.3b13b13b13b14p-5 0x1.a52a9aa8fb4p-14",
+    "5 0x1.5555555555555p-5 0x1.a54a10952fap-14",
+    "3 0x1.3b13b13b13b14p-5 0x1.a5147c2cd9fp-14",
+    "5 0x1.5555555555555p-5 0x1.a512a8e1fcap-14",
+    "1 0x1.642c8590b2164p-5 0x1.a50e266542cp-14",
+    "5 0x1.5555555555555p-5 0x1.a39f440cfc1p-11",
+    "4 0x1.3b13b13b13b14p-5 0x1.a3a351b6fe72p-11",
+    "4 0x1.3b13b13b13b14p-5 0x1.a5609d04d05p-14",
+  )
+
+  private val connectedRWNVOnDemandSamples = Seq(
+    "1 0x1.e9bd37a6f4deap-2 0x1.257cefc857f8p-15",
+    "2 0x1.1555555555555p-1 0x1.5befd2d1c2bp-15",
+    "3 0x1.2762762762762p-1 0x1.484eed30c2p-15",
+    "4 0x1.d89d89d89d89ep-2 0x1.e6d1c70cb858p-16",
+    "5 0x1.0p-1 0x1.5ce925782894p-15",
+    "2 0x1.2aaaaaaaaaaabp-1 0x1.0c8bd2d2378p-15",
+    "3 0x1.89d89d89d89d9p-2 0x1.a86735f0ddp-16",
+    "4 0x1.d89d89d89d89ep-2 0x1.0e1c8b418b4p-15",
+    "5 0x1.4p-1 0x1.2c0c7bcdfc84p-15",
+    "3 0x1.13b13b13b13b1p-1 0x1.5b58360f1528p-15",
+    "4 0x1.89d89d89d89d9p-1 0x1.aeecaa1c4f9p-15",
+    "5 0x1.1555555555555p-1 0x1.ebc4cafad99p-16",
+    "4 0x1.3b13b13b13b14p-1 0x1.48638ad8a568p-15",
+    "5 0x1.6aaaaaaaaaaabp-1 0x1.298126ddc4bp-15",
+    "5 0x1.6p0 0x1.d731dfdee8d8p-15",
+    "1 0x1.642c8590b2164p-2 0x1.b97209da34ap-17",
+    "2 0x1.4p-1 0x1.8a87608f9568p-15",
+    "3 0x1.89d89d89d89d9p-2 0x1.0ab99ad57ebp-15",
+    "4 0x1.6276276276276p-2 0x1.d7ca5888952p-16",
+    "5 0x1.aaaaaaaaaaaabp-2 0x1.d58ff963acfp-16",
+    "2 0x1.aaaaaaaaaaaabp-2 0x1.dc79802e149p-16",
+    "3 0x1.89d89d89d89d9p-3 0x1.3b2daf63fbfp-16",
+    "4 0x1.d89d89d89d89ep-3 0x1.3a01e57a9cp-16",
+    "5 0x1.aaaaaaaaaaaabp-2 0x1.a54f37ff288p-16",
+    "3 0x1.89d89d89d89d9p-2 0x1.d880e1c717ap-16",
+    "4 0x1.13b13b13b13b1p-1 0x1.deb605147ap-16",
+    "5 0x1.0p-1 0x1.3d9972eb1f8p-16",
+    "4 0x1.d89d89d89d89ep-3 0x1.a5545f69214p-17",
+    "5 0x1.2aaaaaaaaaaabp-2 0x1.46d71dec4cp-17",
+    "5 0x1.0p-2 0x1.9a8f00f215p-16",
+    "1 0x1.37a6f4de9bd38p-2 0x1.d29ac57d482p-16",
+    "2 0x1.d555555555555p-2 0x1.a834f5a7a2cp-16",
+    "3 0x1.3b13b13b13b14p-3 0x1.3c2814eb204p-17",
+    "4 0x1.d89d89d89d89ep-4 0x1.01fd6e1adecp-16",
+    "5 0x1.5555555555555p-4 0x1.329483ae6bcp-17",
+    "2 0x1.5555555555555p-3 0x1.a356216de5cp-17",
+    "3 0x1.89d89d89d89d9p-3 0x1.04f535b6402p-16",
+    "4 0x1.d89d89d89d89ep-4 0x1.364fb7113d4p-17",
+    "5 0x1.0p-3 0x1.98f543894dcp-17",
+    "3 0x1.d89d89d89d89ep-4 0x1.04f535b6402p-16",
+    "4 0x1.89d89d89d89d9p-3 0x1.0670e28a312p-16",
+    "5 0x1.0p-3 0x1.3c1dc6172ecp-17",
+    "5 0x1.5555555555555p-5 0x1.961a42a844p-19",
+    "5 0x1.5555555555555p-5 0x1.972d2366c6p-19",
+    "1 0x1.642c8590b2164p-3 0x1.9d9af841da4p-17",
+    "2 0x1.5555555555555p-5 0x1.961db2444p-19",
+    "3 0x1.3b13b13b13b14p-4 0x1.3248ec46d48p-17",
+    "2 0x1.5555555555555p-5 0x1.9729b3cacep-19",
+    "3 0x1.3b13b13b13b14p-4 0x1.34da0d8e448p-17",
+    "4 0x1.3b13b13b13b14p-5 0x1.999e7c4b62p-19",
+    "5 0x1.5555555555555p-5 0x1.a194049c56p-19",
+    "3 0x1.3b13b13b13b14p-5 0x1.9989dea37ep-19",
+    "5 0x1.5555555555555p-5 0x1.9aa70e35f6p-19",
+    "1 0x1.642c8590b2164p-5 0x1.998d4e3f7cp-19",
+    "5 0x1.5555555555555p-5 0x1.972d2366c6p-19",
+    "4 0x1.3b13b13b13b14p-5 0x1.9734029ebep-19",
+    "4 0x1.3b13b13b13b14p-5 0x1.9982ff6b89p-18",
+  )
+
+  private val connectedPRNVFullSamples = Seq(
+    "1 0x1.90b21642c8591p-2 0x1.a8c76b00577cp-14",
+    "2 0x1.9555555555555p0 0x1.b61409de615ep-14",
+    "3 0x1.b13b13b13b13bp-1 0x1.ad74a3de198ep-14",
+    "4 0x1.bb13b13b13b14p0 0x1.bd8c0cf5233p-14",
+    "5 0x1.5555555555555p1 0x1.c1ebdb2070bcp-14",
+    "2 0x1.0555555555555p1 0x1.b7f7ddda81b8p-14",
+    "3 0x1.6276276276276p-1 0x1.b00b3f0621c8p-14",
+    "4 0x1.3b13b13b13b14p-2 0x1.a7c513607e1cp-14",
+    "5 0x1.6aaaaaaaaaaabp-1 0x1.ae00a7f2573p-14",
+    "3 0x1.6762762762762p1 0x1.c7e9b2377f88p-14",
+    "4 0x1.9d89d89d89d8ap0 0x1.bba51bd3a72p-14",
+    "5 0x1.1555555555555p-1 0x1.aa204dc8f8cp-14",
+    "4 0x1.d89d89d89d89ep-3 0x1.a735bb2d2514p-14",
+    "5 0x1.5555555555555p-3 0x1.a6b0285d5e8p-14",
+    "5 0x1.d555555555555p0 0x1.b8820ea3e1ecp-14",
+    "1 0x1.bd37a6f4de9bdp-3 0x1.a8bfafe1624p-14",
+    "2 0x1.d555555555555p-1 0x1.ad2f0fc77a2p-14",
+    "3 0x1.3b13b13b13b14p-2 0x1.a8aabfc2df5p-14",
+    "4 0x1.6276276276276p-2 0x1.a848497507fp-14",
+    "5 0x1.5555555555555p-3 0x1.a588e0f0b868p-14",
+    "2 0x1.8p-2 0x1.a87260abcd98p-14",
+    "3 0x1.3b13b13b13b14p-3 0x1.a7b02341fb28p-14",
+    "4 0x1.3b13b13b13b14p-4 0x1.a5cfda5eb5ep-14",
+    "5 0x1.2aaaaaaaaaaabp-2 0x1.a7ce33d6d17p-14",
+    "3 0x1.3b13b13b13b14p-4 0x1.a53030067388p-14",
+    "4 0x1.d89d89d89d89ep-4 0x1.a64fa0d7448p-14",
+    "5 0x1.5555555555555p-5 0x1.a580d35b239p-14",
+    "4 0x1.d89d89d89d89ep-4 0x1.a6e4c561d58p-14",
+    "5 0x1.5555555555555p-4 0x1.a5410b9bbc2p-14",
+    "1 0x1.642c8590b2164p-3 0x1.a6ea3f426dd8p-14",
+    "3 0x1.3b13b13b13b14p-4 0x1.a3a41fdf8d52p-11",
+    "4 0x1.3b13b13b13b14p-5 0x1.a50e9458c23p-14",
+    "2 0x1.5555555555555p-4 0x1.a6537e66bf28p-14",
+    "3 0x1.3b13b13b13b14p-4 0x1.a6975aaf60e8p-14",
+    "4 0x1.3b13b13b13b14p-4 0x1.a65a4221d5c8p-14",
+    "5 0x1.5555555555555p-5 0x1.a509a3e88908p-14",
+    "4 0x1.3b13b13b13b14p-5 0x1.a3a92f3c424cp-11",
+  )
+
+  private val connectedPRNVOnDemandSamples = Seq(
+    "1 0x1.90b21642c8591p-2 0x1.d1ae8c599p-18",
+    "2 0x1.9555555555555p0 0x1.d767fdb79db8p-16",
+    "3 0x1.b13b13b13b13bp-1 0x1.e75911aa7c88p-16",
+    "4 0x1.bb13b13b13b14p0 0x1.90621b24b4fp-16",
+    "5 0x1.5555555555555p1 0x1.682fcb3c0178p-15",
+    "2 0x1.0555555555555p1 0x1.def74da81f3p-16",
+    "3 0x1.6276276276276p-1 0x1.bf5e97687b9p-16",
+    "4 0x1.3b13b13b13b14p-2 0x1.a938ce1bba2p-17",
+    "5 0x1.6aaaaaaaaaaabp-1 0x1.850a4754f3ep-16",
+    "3 0x1.6762762762762p1 0x1.2896a5880a38p-15",
+    "4 0x1.9d89d89d89d8ap0 0x1.748c5366d89p-15",
+    "5 0x1.1555555555555p-1 0x1.a7ddc5919bep-16",
+    "4 0x1.d89d89d89d89ep-3 0x1.b6d4e1f0d58p-18",
+    "5 0x1.5555555555555p-3 0x1.3ce95af114p-17",
+    "5 0x1.d555555555555p0 0x1.a0db8c96168p-15",
+    "1 0x1.bd37a6f4de9bdp-3 0x1.d49f06c97b6p-16",
+    "2 0x1.d555555555555p-1 0x1.25696501331p-15",
+    "3 0x1.3b13b13b13b14p-2 0x1.a1dc9a5b71cp-16",
+    "4 0x1.6276276276276p-2 0x1.ad527ec009p-17",
+    "5 0x1.5555555555555p-3 0x1.9858ed5026ap-17",
+    "2 0x1.8p-2 0x1.6e8c720b2cap-16",
+    "3 0x1.3b13b13b13b14p-3 0x1.a93d199eb44p-17",
+    "4 0x1.3b13b13b13b14p-4 0x1.a076d509e2p-18",
+    "5 0x1.2aaaaaaaaaaabp-2 0x1.39eb9004bb2p-16",
+    "3 0x1.3b13b13b13b14p-4 0x1.97d3c873dfp-18",
+    "4 0x1.d89d89d89d89ep-4 0x1.9d8d39d1ed4p-17",
+    "5 0x1.5555555555555p-5 0x1.a86c5d5ad7p-19",
+    "4 0x1.d89d89d89d89ep-4 0x1.3d8c9062314p-17",
+    "5 0x1.5555555555555p-4 0x1.998d4e3f7bp-18",
+    "1 0x1.642c8590b2164p-3 0x1.689f7689666p-16",
+    "3 0x1.3b13b13b13b14p-4 0x1.96ac4a0d798p-18",
+    "4 0x1.3b13b13b13b14p-5 0x1.961db24441p-19",
+    "2 0x1.5555555555555p-4 0x1.c09bfd5142p-19",
+    "3 0x1.3b13b13b13b14p-4 0x1.a076d509e24p-17",
+    "4 0x1.3b13b13b13b14p-4 0x1.3938766233cp-17",
+    "5 0x1.5555555555555p-5 0x1.99866f0784p-19",
+    "4 0x1.3b13b13b13b14p-5 0x1.9d1187e299p-19",
+  )
+
+  // The `(block, η, t)` sample of every ancillary load of the two runs
+  // `learned` trains on, for `connected`: `t` is the priced wall time of
+  // the load and the steps taken under it, so only a changed count moves
+  // one. Rows are `block η t`, doubles in hex.
+  {
+    val bg = graphs.toMap.apply("connected")
+    for ((tName, task, fullSamples, onDemandSamples) <- Seq(
+           ("RWNV", WalkTask.rwnv(bg.g, p = 0.25, q = 4.0, walksPerVertex = 1, len = 20),
+            connectedRWNVFullSamples, connectedRWNVOnDemandSamples),
+           ("PRNV", WalkTask.prnv(bg.g, p = 0.25, q = 4.0, nQueries = 4),
+            connectedPRNVFullSamples, connectedPRNVOnDemandSamples)))
+      test(s"BiBlock LBL load logs are pinned (connected, $tName)") {
+        val full = new LoadLogCollector
+        val od = new LoadLogCollector
+        profile(bg, task)(BlockLoading.AlwaysFull, full)
+        profile(bg, task)(BlockLoading.AlwaysOnDemand, od)
+        assert(samples(full) == fullSamples)
+        assert(samples(od) == onDemandSamples)
+      }
   }
 }

@@ -26,10 +26,6 @@ class DatasetsSpec extends SparkSpec {
           "RandomG4", "RandomG5", "SBM1", "SBM2", "SBM3"))
   }
 
-  test("PRNV paper walk budget is the 4|V| total-sample setting everywhere") {
-    Datasets.all.foreach(s => assert(s.paperPrnvWalks == 4L * s.paperV))
-  }
-
   test("csr build is cached (same instance returned)") {
     val a = Datasets.csr(Datasets.randomG5)
     val b = Datasets.csr(Datasets.randomG5)
