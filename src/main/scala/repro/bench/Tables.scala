@@ -8,7 +8,7 @@ import repro.engine._
 import repro.graph.{Datasets, GraphSpec}
 import repro.walk.WalkTask
 
-/** Shared harness behind the `bench/` suites and `jobs/` entrypoints: one
+/** Shared harness behind the `bench/` suites and the `jobs/` entry point: one
   * runner per evaluation table, with deterministic, memoized engine runs and
   * paper reference values printed side by side.
   */
@@ -61,8 +61,6 @@ object Tables {
     case "SGSC"           => new SogwEngine(staticCache = true)
     case "GraSorw"        =>
       new BiBlockEngine(lblPolicy(spec, partition, taskKind, kind)(new BiBlockEngine(_, _)))
-    case "FO-GraphWalker" => new FirstOrderEngine(new Scheduling.GraphWalkerMix(), BlockLoading.AlwaysFull)
-    case "FO-NoLBL"       => new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysFull)
     case "FO-GraSorw"     => new FirstOrderEngine(new Scheduling.Iteration,
       lblPolicy(spec, partition, taskKind, kind)(new FirstOrderEngine(new Scheduling.Iteration, _, _)))
     case s if s.startsWith("FO:") => new FirstOrderEngine(Scheduling.byName(s.drop(3)), BlockLoading.AlwaysFull)
@@ -242,7 +240,7 @@ object Tables {
   final case class T7Row(dataset: String, system: String, m: DiskSim.Metrics)
 
   private val t7Systems =
-    Seq("GraphWalker" -> "FO-GraphWalker", "GraSorw-No-LBL" -> "FO-NoLBL", "GraSorw" -> "FO-GraSorw")
+    Seq("GraphWalker" -> "FO:GraphWalker", "GraSorw-No-LBL" -> "FO:Iteration", "GraSorw" -> "FO-GraSorw")
 
   def table7Rows()(implicit spark: SparkSession): Seq[T7Row] =
     for {

@@ -74,7 +74,7 @@ final class BiBlockEngine(
           while (i < nB) {
             val bucket = buckets(i)
             if (bucket.nonEmpty) {
-              val mem = BlockLoading.load(bg, b, i, policy, bucket, sim)
+              val mem = BlockLoading.load(bg, b, i, policy, bucket, sim, loadLog)
               var idx = 0
               while (idx < bucket.length) {
                 // UpdateWalk: advance while the walk stays in-memory, then
@@ -88,7 +88,7 @@ final class BiBlockEngine(
                 idx += 1
               }
               bucket.clear()
-              mem.logTo(loadLog)
+              mem.logSample()
             }
             i += 1
           }

@@ -26,7 +26,7 @@ object BlockLoading {
     */
   final class Loaded private[BlockLoading] (
       bg: BlockedGraph, b: Int, i: Int, loaded: java.util.BitSet,
-      eta: Double, t0: Double, sim: DiskSim) extends Residency {
+      eta: Double, sim: DiskSim, log: LoadLogCollector, t0: Double) extends Residency {
 
     def holds(block: Int): Boolean = block == b || block == i
 
@@ -36,10 +36,11 @@ object BlockLoading {
         if (!loaded.get(off)) { sim.readVertices(1); loaded.set(off) }
       }
 
-    /** Record this load's (i, η, t) sample into `log`, if given; `t` is the
-      * simulated time from the load to now, so call it after the slot.
+    /** Record this load's (i, η, t) sample into the log `load` was given, if
+      * any; `t` is the simulated time from the load to now, so call it after
+      * the slot.
       */
-    def logTo(log: LoadLogCollector): Unit =
+    def logSample(): Unit =
       if (log != null) log.record(i, eta, sim.wallTimeSec - t0)
   }
 
@@ -47,11 +48,12 @@ object BlockLoading {
     * η = |W| / |V_i| of the walks `walks` that will step under it, let
     * `policy` pick the mode, and charge `sim` a full load or the on-demand
     * load of the vertices the walks activate (their previous and current
-    * vertices inside `i`, the Vertex Map of Fig. 5).
+    * vertices inside `i`, the Vertex Map of Fig. 5). With a `log`, the
+    * start time is taken for the sample `logSample` records.
     */
   def load(bg: BlockedGraph, b: Int, i: Int, policy: Policy, walks: WalkBuffer,
-           sim: DiskSim): Loaded = {
-    val t0 = sim.wallTimeSec
+           sim: DiskSim, log: LoadLogCollector = null): Loaded = {
+    val t0 = if (log != null) sim.wallTimeSec else 0.0
     val eta = BlockLoading.eta(walks.length, bg.verticesInBlock(i))
     val loaded = policy.mode(i, eta) match {
       case Full =>
@@ -71,7 +73,7 @@ object BlockLoading {
         if (n > 0) sim.readVertices(n)
         bits
     }
-    new Loaded(bg, b, i, loaded, eta, t0, sim)
+    new Loaded(bg, b, i, loaded, eta, sim, log, t0)
   }
 
   /** η = |W| / |V_b| (§5.2): walks loading a block per vertex of it. */

@@ -25,22 +25,4 @@ final class SkewedWalkStorage(bg: BlockedGraph) {
   def persist(walks: WalkBuffer, k: Int): Unit = pools.add(homeBlock(walks, k), walks, k)
 
   def isEmpty: Boolean = pools.isEmpty
-
-  /** Invariant check used by tests: every pooled walk sits in min(pre, cur)
-    * and never has both vertices in one block.
-    */
-  def checkInvariants(): Unit = {
-    var b = 0
-    while (b < bg.nBlocks) {
-      val pool = pools.pool(b)
-      var k = 0
-      while (k < pool.length) {
-        val pb = bg.blockOf(pool.prev(k)); val cb = bg.blockOf(pool.cur(k))
-        require(pb != cb, s"walk ${pool.id(k)} has prev and cur in the same block $pb")
-        require(math.min(pb, cb) == b, s"walk ${pool.id(k)} in pool $b but min($pb,$cb)")
-        k += 1
-      }
-      b += 1
-    }
-  }
 }

@@ -45,10 +45,10 @@ final class FirstOrderEngine(
 
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
     driver.run { (b, walks) =>
-      val mem = BlockLoading.load(bg, b, b, policy, walks, sim)
+      val mem = BlockLoading.load(bg, b, b, policy, walks, sim, loadLog)
       sim.walkIO(walks.length)
       driver.advanceAll(walks, mem)
-      mem.logTo(loadLog)
+      mem.logSample()
     }
   }
 }

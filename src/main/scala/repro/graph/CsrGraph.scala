@@ -48,10 +48,6 @@ final class CsrGraph(val nV: Int, val offsets: Array[Int], val neighbors: Array[
     false
   }
 
-  /** Neighbors of `v` as a fresh array (test/analysis convenience). */
-  def neighborsOf(v: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(neighbors, offsets(v), offsets(v + 1))
-
   /** Relabel vertices by permutation `newId(old) = perm(old)`, preserving the
     * edge set. Used to express an arbitrary partition as contiguous blocks.
     */

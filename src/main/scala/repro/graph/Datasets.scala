@@ -32,9 +32,7 @@ final case class GraphSpec(
     paperCsrBytes: Long,
     paperV: Long,
     gen: SparkSession => DataFrame,
-) {
-  override def toString: String = name
-}
+)
 
 object Datasets {
   private val MB = 1L << 20
@@ -119,11 +117,6 @@ object Datasets {
   val synthetic: Seq[GraphSpec] =
     Seq(circulantG, randomG, basf, randomG1, randomG2, randomG3, randomG4, randomG5,
         sbm1, sbm2, sbm3)
-
-  val all: Seq[GraphSpec] = real ++ synthetic
-
-  def byName(n: String): GraphSpec =
-    all.find(_.name == n).getOrElse(throw new IllegalArgumentException(s"unknown dataset $n"))
 
   // ---- caches (graphs are deterministic; build once per JVM) -----------
   private val csrCache = mutable.Map.empty[String, CsrGraph]

@@ -17,9 +17,6 @@ sealed trait TransitionModel {
   def isSecondOrder: Boolean
 
   def sampleNext(g: CsrGraph, prev: Int, cur: Int, u: Double): Int
-
-  /** Exact transition probability p(z | prev→cur); reference for tests. */
-  def probability(g: CsrGraph, prev: Int, cur: Int, z: Int): Double
 }
 
 object TransitionModel {
@@ -42,9 +39,6 @@ case object DeepWalkModel extends TransitionModel {
 
   def sampleNext(g: CsrGraph, prev: Int, cur: Int, u: Double): Int =
     TransitionModel.uniformNeighbor(g, cur, u)
-
-  def probability(g: CsrGraph, prev: Int, cur: Int, z: Int): Double =
-    if (g.hasEdge(cur, z)) 1.0 / g.degree(cur) else 0.0
 }
 
 /** Second-order Node2vec model (Eq. 1): biased weight 1/p if the candidate
@@ -99,16 +93,6 @@ final case class Node2vecModel(p: Double, q: Double) extends TransitionModel {
       if (next <= Node2vecModel.MaxSpacing) sampleByRejection(g, prev, cur, d, (r - a) / (1.0 - a), next)
       else sampleByRejection(g, prev, cur, d, Rng.rehash(x), Node2vecModel.DrawSpacing * d)
     }
-  }
-
-  def probability(g: CsrGraph, prev: Int, cur: Int, z: Int): Double = {
-    if (!g.hasEdge(cur, z)) return 0.0
-    val d = g.degree(cur)
-    if (prev < 0) return 1.0 / d
-    var total = 0.0
-    var i = 0
-    while (i < d) { total += weight(g, prev, g.neighbor(cur, i)); i += 1 }
-    weight(g, prev, z) / total
   }
 }
 

@@ -6,8 +6,8 @@ import repro.graph.CsrGraph
   *
   * @param name      label for tables
   * @param model     transition model (DeepWalk or Node2vec)
-  * @param starts    (sourceVertex, walkCount) pairs
-  * @param maxLen    maximum steps per walk (walk terminates at `maxLen` hops)
+  * @param starts    (sourceVertex, walkCount) pairs, counts >= 0
+  * @param maxLen    maximum steps per walk (walk terminates at `maxLen` hops), >= 1
   * @param stopProb  per-step termination probability (PRNV decay: 1 - 0.85);
   *                  0 for fixed-length generation
   * @param seed      task seed feeding the counter-based RNG
@@ -20,6 +20,9 @@ final case class WalkTask(
     stopProb: Double,
     seed: Long,
 ) {
+  require(maxLen >= 1, s"$name: maxLen $maxLen < 1, but every walk takes its first step")
+  require(starts.forall(_._2 >= 0), s"$name: negative walk count in start ${starts.find(_._2 < 0).get}")
+
   val totalWalks: Long = starts.map(_._2.toLong).sum
 
   /** Whether walk `walkId` terminates after completing hop `hop`. */

@@ -48,4 +48,10 @@ object TestGraphs {
   }
 
   def blocked(g: CsrGraph, nBlocks: Int): BlockedGraph = BlockedGraph.sequential(g, nBlocks)
+
+  /** `g.neighborsOf(v)`: the neighbors of `v` as a fresh array. */
+  implicit final class CsrNeighbors(private val g: CsrGraph) extends AnyVal {
+    def neighborsOf(v: Int): Array[Int] =
+      java.util.Arrays.copyOfRange(g.neighbors, g.offsets(v), g.offsets(v + 1))
+  }
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.DiskSim
 import repro.engine.{Init, Walker}
+import repro.engine.EngineTestKit.checkInvariants
 import repro.engine.TestWalks.walk
 import repro.walk.WalkTask
 
@@ -41,19 +42,19 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
     val s = new SkewedWalkStorage(bg)
     s.persist(walk(0, prev = 5, cur = 15, hop = 1), 0)
     s.persist(walk(1, prev = 39, cur = 0, hop = 2), 0)
-    s.checkInvariants()
+    checkInvariants(bg, s.pools)
   }
 
   test("checkInvariants rejects a mis-pooled walk") {
     val s = new SkewedWalkStorage(bg)
     s.pools.add(2, walk(0, prev = 5, cur = 15, hop = 1), 0) // belongs to pool 0
-    assertThrows[IllegalArgumentException](s.checkInvariants())
+    assertThrows[IllegalArgumentException](checkInvariants(bg, s.pools))
   }
 
   test("checkInvariants rejects same-block prev/cur") {
     val s = new SkewedWalkStorage(bg)
     s.pools.add(0, walk(0, prev = 5, cur = 7, hop = 1), 0)
-    assertThrows[IllegalArgumentException](s.checkInvariants())
+    assertThrows[IllegalArgumentException](checkInvariants(bg, s.pools))
   }
 
   test("isEmpty reflects pool contents") {
@@ -76,7 +77,7 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
       val s = new SkewedWalkStorage(dbg)
       Init.run(new Walker(dbg, task, new DiskSim(), null, null))(s.persist)
       assert(!s.isEmpty, name)
-      s.checkInvariants()
+      checkInvariants(dbg, s.pools)
     }
   }
 }

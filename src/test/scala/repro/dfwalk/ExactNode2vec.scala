@@ -1,7 +1,7 @@
 package repro.dfwalk
 
 import repro.graph.CsrGraph
-import repro.walk.TransitionModel
+import repro.walk.{Node2vecModel, TransitionModel}
 
 /** Exact reference computations for second-order walks on small graphs.
   *
@@ -11,6 +11,23 @@ import repro.walk.TransitionModel
   * per step — test-scale only).
   */
 object ExactNode2vec {
+
+  /** Exact transition probability p(z | prev→cur), written out from Eq. 1
+    * and independent of the samplers: z is weighted 1/p if it is `prev`, 1
+    * if it neighbors `prev` and 1/q otherwise, normalized over N(cur).
+    * DeepWalk, and every model's first step (prev = -1), is uniform over
+    * N(cur).
+    */
+  def probability(model: TransitionModel, g: CsrGraph, prev: Int, cur: Int, z: Int): Double = {
+    if (!g.hasEdge(cur, z)) return 0.0
+    val d = g.degree(cur)
+    model match {
+      case Node2vecModel(p, q) if prev >= 0 =>
+        def w(x: Int): Double = if (x == prev) 1.0 / p else if (g.hasEdge(prev, x)) 1.0 else 1.0 / q
+        w(z) / (0 until d).map(i => w(g.neighbor(cur, i))).sum
+      case _ => 1.0 / d
+    }
+  }
 
   /** Index of directed edge (u, v) = position of v in u's adjacency run. */
   def edgeIndex(g: CsrGraph, u: Int, v: Int): Int = {
@@ -37,7 +54,7 @@ object ExactNode2vec {
           var k = g.offsets(v)
           while (k < g.offsets(v + 1)) {
             val z = g.neighbors(k)
-            out(k) += mass * model.probability(g, u, v, z)
+            out(k) += mass * probability(model, g, u, v, z)
             k += 1
           }
         }

@@ -2,6 +2,7 @@ package repro.dfwalk
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.TestGraphs.CsrNeighbors
 import repro.core.{BiBlockEngine, BlockLoading}
 import repro.disk.DiskSim
 import repro.engine.EngineTestKit
@@ -38,7 +39,7 @@ class ExactNode2vecSpec extends AnyFunSuite {
     pi(ExactNode2vec.edgeIndex(g, u, v)) = 1.0
     val out = ExactNode2vec.stepEdgeDistribution(g, model, pi)
     for (z <- g.neighborsOf(v))
-      assert(math.abs(out(ExactNode2vec.edgeIndex(g, v, z)) - model.probability(g, u, v, z)) < 1e-12)
+      assert(math.abs(out(ExactNode2vec.edgeIndex(g, v, z)) - ExactNode2vec.probability(model, g, u, v, z)) < 1e-12)
   }
 
   test("expectedVisits of a 0-length walk is just the query") {
@@ -70,7 +71,7 @@ class ExactNode2vecSpec extends AnyFunSuite {
       brute(cur) += prob
       if (hop < maxLen) {
         for (z <- tiny.neighborsOf(cur)) {
-          val pz = model.probability(tiny, if (hop == 0) -1 else prev, cur, z)
+          val pz = ExactNode2vec.probability(model, tiny, if (hop == 0) -1 else prev, cur, z)
           recurse(cur, z, hop + 1, prob * pz * (if (hop == 0) 1.0 else decay))
         }
       }

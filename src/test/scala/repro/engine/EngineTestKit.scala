@@ -37,6 +37,19 @@ object EngineTestKit {
     new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysOnDemand),
   )
 
+  /** The skewed storage's invariants (§4.3.1): every walk in `pools` sits in
+    * pool min(B(prev), B(cur)) and never has both vertices in one block.
+    */
+  def checkInvariants(bg: BlockedGraph, pools: WalkPools): Unit =
+    for (b <- 0 until bg.nBlocks) {
+      val pool = pools.pool(b)
+      for (k <- 0 until pool.length) {
+        val pb = bg.blockOf(pool.prev(k)); val cb = bg.blockOf(pool.cur(k))
+        require(pb != cb, s"walk ${pool.id(k)} has prev and cur in the same block $pb")
+        require(math.min(pb, cb) == b, s"walk ${pool.id(k)} in pool $b but min($pb,$cb)")
+      }
+    }
+
   /** Every trajectory of a sealed corpus, in walk order. */
   def corpus(trace: TraceCollector): Seq[Seq[Int]] = (0 until trace.nWalks).map(trace.path(_).toSeq)
 

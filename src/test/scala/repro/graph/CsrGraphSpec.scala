@@ -3,6 +3,7 @@ package repro.graph
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.TestGraphs.CsrNeighbors
 
 class CsrGraphSpec extends AnyFunSuite {
 

@@ -3,6 +3,7 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.TestGraphs.CsrNeighbors
 
 class GraphGenSpec extends SparkSpec {
   import spark.implicits._

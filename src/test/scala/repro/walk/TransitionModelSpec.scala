@@ -2,6 +2,8 @@ package repro.walk
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.TestGraphs.CsrNeighbors
+import repro.dfwalk.ExactNode2vec
 
 import scala.concurrent.duration._
 import scala.concurrent.{Await, ExecutionContext, Future}
@@ -22,9 +24,9 @@ class TransitionModelSpec extends AnyFunSuite {
 
   test("DeepWalk probability is uniform over neighbors") {
     // Neighbors of 2 in the house graph: {0, 1, 3}.
-    assert(DeepWalkModel.probability(house, -1, 2, 0) == 1.0 / 3)
-    assert(DeepWalkModel.probability(house, -1, 2, 3) == 1.0 / 3)
-    assert(DeepWalkModel.probability(house, -1, 2, 2) == 0.0)
+    assert(ExactNode2vec.probability(DeepWalkModel, house, -1, 2, 0) == 1.0 / 3)
+    assert(ExactNode2vec.probability(DeepWalkModel, house, -1, 2, 3) == 1.0 / 3)
+    assert(ExactNode2vec.probability(DeepWalkModel, house, -1, 2, 2) == 0.0)
   }
 
   test("DeepWalk on a dangling vertex returns -1") {
@@ -35,7 +37,7 @@ class TransitionModelSpec extends AnyFunSuite {
   test("Node2vec p=q=1 degenerates to uniform (probabilities)") {
     val m = Node2vecModel(1, 1)
     for (z <- Seq(0, 1, 3)) // neighbors of 2 in house: 0,1,3
-      assert(math.abs(m.probability(house, 0, 2, z) - 1.0 / 3) < 1e-12)
+      assert(math.abs(ExactNode2vec.probability(m, house, 0, 2, z) - 1.0 / 3) < 1e-12)
   }
 
   test("Node2vec weight cases: return (h=0), common neighbor (h=1), far (h=2)") {
@@ -43,28 +45,29 @@ class TransitionModelSpec extends AnyFunSuite {
     // Walk 0 -> 2 in house. Neighbors of 2: {0, 1, 3}.
     //   z=0: return, w=1/p=0.5 ; z=1: neighbor of 0, w=1 ; z=3: far, w=1/q=0.25.
     val Z = 0.5 + 1.0 + 0.25
-    assert(math.abs(m.probability(house, 0, 2, 0) - 0.5 / Z) < 1e-12)
-    assert(math.abs(m.probability(house, 0, 2, 1) - 1.0 / Z) < 1e-12)
-    assert(math.abs(m.probability(house, 0, 2, 3) - 0.25 / Z) < 1e-12)
+    assert(math.abs(ExactNode2vec.probability(m, house, 0, 2, 0) - 0.5 / Z) < 1e-12)
+    assert(math.abs(ExactNode2vec.probability(m, house, 0, 2, 1) - 1.0 / Z) < 1e-12)
+    assert(math.abs(ExactNode2vec.probability(m, house, 0, 2, 3) - 0.25 / Z) < 1e-12)
   }
 
   test("Node2vec probabilities sum to 1 over neighbors") {
     val m = Node2vecModel(p = 0.25, q = 4.0)
     for (prev <- Seq(0, 1, 3)) {
-      val s = square.neighborsOf((prev + 1) % 4).map(z => m.probability(square, prev, (prev + 1) % 4, z)).sum
+      val s = square.neighborsOf((prev + 1) % 4)
+        .map(z => ExactNode2vec.probability(m, square, prev, (prev + 1) % 4, z)).sum
       assert(math.abs(s - 1.0) < 1e-12)
     }
   }
 
   test("Node2vec probability of a non-neighbor is zero") {
     val m = Node2vecModel(1, 1)
-    assert(m.probability(house, 0, 2, 4) == 0.0)
+    assert(ExactNode2vec.probability(m, house, 0, 2, 4) == 0.0)
   }
 
   test("Node2vec first step (prev = -1) is uniform") {
     val m = Node2vecModel(p = 9.0, q = 0.1)
     for (z <- house.neighborsOf(2))
-      assert(math.abs(m.probability(house, -1, 2, z) - 1.0 / 3) < 1e-12)
+      assert(math.abs(ExactNode2vec.probability(m, house, -1, 2, z) - 1.0 / 3) < 1e-12)
   }
 
   test("Node2vec sampler inverts its own distribution (fine grid)") {
@@ -76,7 +79,7 @@ class TransitionModelSpec extends AnyFunSuite {
       counts(z) += 1
     }
     for (z <- house.neighborsOf(2)) {
-      val expected = m.probability(house, 0, 2, z)
+      val expected = ExactNode2vec.probability(m, house, 0, 2, z)
       assert(math.abs(counts(z).toDouble / n - expected) < 2e-3,
         s"z=$z got ${counts(z).toDouble / n} expected $expected")
     }
@@ -88,7 +91,7 @@ class TransitionModelSpec extends AnyFunSuite {
     val n = 60000
     for (i <- 0 until n) counts(m.sampleNext(house, 1, 2, Rng.unit(3, i, 0, Rng.MoveStream))) += 1
     for (z <- house.neighborsOf(2)) {
-      val expected = m.probability(house, 1, 2, z)
+      val expected = ExactNode2vec.probability(m, house, 1, 2, z)
       assert(math.abs(counts(z).toDouble / n - expected) < 0.01)
     }
   }
@@ -114,8 +117,8 @@ class TransitionModelSpec extends AnyFunSuite {
     val g = TestGraphs.clique(5)
     val m = Node2vecModel(p = 100.0, q = 1.0)
     // From 0 -> 1, every other vertex is a common neighbor (w=1); return w=0.01.
-    assert(m.probability(g, 0, 1, 0) < 0.01)
-    assert(math.abs(g.neighborsOf(1).map(m.probability(g, 0, 1, _)).sum - 1.0) < 1e-12)
+    assert(ExactNode2vec.probability(m, g, 0, 1, 0) < 0.01)
+    assert(math.abs(g.neighborsOf(1).map(ExactNode2vec.probability(m, g, 0, 1, _)).sum - 1.0) < 1e-12)
   }
 
   // Hub 0 with 300 leaves, of which 1..30 also form a clique: stepping
@@ -194,7 +197,7 @@ class TransitionModelSpec extends AnyFunSuite {
     for ((p, q) <- Seq((0.25, 4.0), (4.0, 0.25), (0.01, 0.01)); (g, prev, cur) <- steps) {
       val m = Node2vecModel(p, q)
       val d = g.degree(cur)
-      val probs = g.neighborsOf(cur).map(z => z -> m.probability(g, prev, cur, z)).toMap
+      val probs = g.neighborsOf(cur).map(z => z -> ExactNode2vec.probability(m, g, prev, cur, z)).toMap
       val draws = (0 until n).map(i => Rng.unit(23, i, 1, Rng.MoveStream))
       val picks = terminates(draws.map(m.sampleNext(g, prev, cur, _)))
       // Share of steps that did not return their first proposal; each of

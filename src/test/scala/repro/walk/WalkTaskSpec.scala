@@ -75,4 +75,21 @@ class WalkTaskSpec extends AnyFunSuite {
     val db = (0 until 50).map(h => b.moveDraw(1, h))
     assert(da != db)
   }
+
+  test("a task must let every walk take its first step") {
+    def task(maxLen: Int) = WalkTask("t", DeepWalkModel, Array((0, 1)), maxLen, 0.0, 1)
+    task(1)
+    for (len <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](task(len))
+      assert(e.getMessage.contains(s"maxLen $len"), e.getMessage)
+    }
+  }
+
+  test("a task rejects a negative walk count") {
+    def task(starts: Array[(Int, Int)]) = WalkTask("t", DeepWalkModel, starts, 10, 0.0, 1)
+    task(Array((0, 0), (1, 3)))
+    // Otherwise the -2 would cancel two of the 3 walks in totalWalks.
+    val e = intercept[IllegalArgumentException](task(Array((0, 3), (1, -2))))
+    assert(e.getMessage.contains("negative walk count in start (1,-2)"), e.getMessage)
+  }
 }
