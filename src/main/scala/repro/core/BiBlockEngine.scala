@@ -1,18 +1,24 @@
 package repro.core
 
 import repro.disk.DiskSim
-import repro.engine.{Init, TraceCollector, WalkBuffer, WalkEngine, Walker}
+import repro.engine.{CurrentBlockDriver, Init, Scheduling, TraceCollector, WalkBuffer, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
-/** The bi-block execution engine (§4, Algorithms 1 and 2).
+/** The bi-block execution engine (§4, Algorithms 1 and 2): a slot body of
+  * the [[CurrentBlockDriver]] under [[Scheduling.Iteration]].
   *
-  * Current blocks are scheduled iteratively `0 .. N_B - 2`; within a time
-  * slot, ancillary blocks are scheduled triangularly `b+1 .. N_B - 1`
-  * (skipping empty buckets, like the iteration-based current schedule skips
-  * empty pools). Walks live in the skewed storage (min-block pools), are
-  * collected into buckets by Eq. 4, advance while their current vertex stays
-  * inside either in-memory block, and are then re-associated (Alg. 2).
+  * Alg. 1 runs the current block `b` over `0 .. N_B - 2`, skipping blocks
+  * without walks, superstep after superstep. After `b`, Iteration picks the
+  * next non-empty pool cyclically and Alg. 1 the next in `b+1 .. N_B - 2`,
+  * else again from 0; the two agree because pool `N_B - 1` is always empty
+  * (a walk's home block is the min of two distinct blocks, the Init
+  * invariant; with N_B = 1 Init leaves no walk). A slot whose block is not
+  * above the previous slot's starts a superstep. Within a slot the
+  * ancillary blocks are swept triangularly, `b+1 .. N_B - 1`, skipping
+  * empty buckets. Walks live in the skewed storage (min-block pools), are
+  * collected into buckets by Eq. 4, advance while their current vertex
+  * stays inside either in-memory block, and are then re-associated (Alg. 2).
   *
   * Alg. 2's case analysis is the skewed storage's own rule plus
   * bucket-extending. A walk that leaves {b, i} stepped last inside the pair,
@@ -42,60 +48,40 @@ final class BiBlockEngine(
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     val nB = bg.nBlocks
-    val storage = new SkewedWalkStorage(bg)
     val walker = new Walker(bg, task, sim, visits, trace)
-
+    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration)
+    val storage = new SkewedWalkStorage(bg, driver.pools)
     Init.run(walker)(storage.persist)
 
     // One bucket per ancillary block, reused across time slots.
     val buckets = Array.fill(nB)(new WalkBuffer)
-
-    while (!storage.isEmpty) {
-      sim.supersteps += 1
-      var b = 0
-      while (b < math.max(1, nB - 1)) { // current block iterates 0 .. N_B-2
-        if (storage.pools.size(b) > 0) {
-          val curWalks = storage.pools.drain(b)
-          sim.walkIO(curWalks.length) // load the associated walks (Alg. 1 l.3)
-
-          // Collect buckets (Eq. 4): by the "other" block of the pair.
-          var k = 0
-          while (k < curWalks.length) {
-            val pre = bg.blockOf(curWalks.prev(k))
-            buckets(if (pre == b) bg.blockOf(curWalks.cur(k)) else pre).addFrom(curWalks, k)
-            k += 1
-          }
-
-          // Load the current block (always full — it is shared by all
-          // buckets of the slot) and run the triangular ancillary sweep.
-          sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
-          sim.timeSlots += 1
-          var i = b + 1
-          while (i < nB) {
-            val bucket = buckets(i)
-            if (bucket.nonEmpty) {
-              val mem = BlockLoading.load(bg, b, i, policy, bucket, sim, loadLog)
-              var idx = 0
-              while (idx < bucket.length) {
-                // UpdateWalk: advance while the walk stays in-memory, then
-                // persist it (Alg. 2).
-                if (walker.advance(bucket, idx, mem)) {
-                  val cur = bg.blockOf(bucket.cur(idx))
-                  if (cur > i && bg.blockOf(bucket.prev(idx)) == b)
-                    buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)
-                  else { storage.persist(bucket, idx); sim.walkIO(1) }
-                }
-                idx += 1
-              }
-              bucket.clear()
-              mem.logSample()
+    var last = Int.MaxValue // the previous slot's current block
+    driver.run { (b, walks) =>
+      if (b <= last) sim.supersteps += 1
+      last = b
+      driver.splitBuckets(b, walks, buckets) // loads the walks and b (Alg. 1 l.3)
+      var i = b + 1
+      while (i < nB) {
+        val bucket = buckets(i)
+        if (bucket.nonEmpty) {
+          val mem = BlockLoading.load(bg, b, i, policy, bucket, sim, loadLog)
+          var idx = 0
+          while (idx < bucket.length) {
+            // UpdateWalk: advance while the walk stays in-memory, then
+            // persist it (Alg. 2).
+            if (walker.advance(bucket, idx, mem)) {
+              val cur = bg.blockOf(bucket.cur(idx))
+              if (cur > i && bg.blockOf(bucket.prev(idx)) == b)
+                buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)
+              else { storage.persist(bucket, idx); sim.walkIO(1) }
             }
-            i += 1
+            idx += 1
           }
+          bucket.clear()
+          mem.logSample()
         }
-        b += 1
+        i += 1
       }
     }
-    walker.finish()
   }
 }

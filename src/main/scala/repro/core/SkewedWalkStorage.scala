@@ -6,10 +6,10 @@ import repro.graph.BlockedGraph
 /** Skewed walk storage (§4.3.1): a walk w_u^v lives in the pool of block
   * `min(B(u), B(v))`, so that under the triangular schedule it is always
   * picked up — either when its smaller block is the current block, or when
-  * its larger block is loaded as that slot's ancillary block.
+  * its larger block is loaded as that slot's ancillary block. The pools are
+  * the current-block driver's; this is the association rule over them.
   */
-final class SkewedWalkStorage(bg: BlockedGraph) {
-  val pools = new WalkPools(bg.nBlocks)
+final class SkewedWalkStorage(bg: BlockedGraph, val pools: WalkPools) {
 
   /** The association rule for record `k` of `walks`: min of the two blocks.
     * Initial walks (prev = -1) cannot occur here — initialization (App. B)
@@ -23,6 +23,4 @@ final class SkewedWalkStorage(bg: BlockedGraph) {
 
   /** Copy record `k` of `walks` into its home pool. */
   def persist(walks: WalkBuffer, k: Int): Unit = pools.add(homeBlock(walks, k), walks, k)
-
-  def isEmpty: Boolean = pools.isEmpty
 }

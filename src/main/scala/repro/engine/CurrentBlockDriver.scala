@@ -2,12 +2,12 @@ package repro.engine
 
 import repro.disk.DiskSim
 
-/** GraphWalker's current-block loop (Appendix A), shared by the SOGW/SGSC,
-  * PB and first-order engines. Walks live in the pools of their current
-  * block. Each time slot the strategy picks a block, the driver drains its
-  * pool, counts the slot and hands `(block, walks)` to the engine's slot
-  * body, which charges the block and walk loads and advances the walks.
-  * One driver serves one run; the strategy's previous choice is held here.
+/** The current-block loop (Appendix A), shared by every engine. Each time
+  * slot the strategy picks a block, the driver drains its pool, counts the
+  * slot and hands `(block, walks)` to the engine's slot body, which charges
+  * the block and walk loads and advances the walks. Walks are pooled by
+  * current block, or by skewed home block in the bi-block engine. One
+  * driver serves one run; the strategy's previous choice is held here.
   */
 final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
   private val bg = walker.bg
@@ -33,6 +33,20 @@ final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
 
   /** Pool record `k` of `walks` by its current block. */
   def add(walks: WalkBuffer, k: Int): Unit = pools.add(bg.blockOf(walks.cur(k)), walks, k)
+
+  /** Open a PB or bi-block slot: charge the walk read, split `walks` into
+    * `buckets` by the other block of each walk's pair (Eq. 4), load `b`.
+    */
+  def splitBuckets(b: Int, walks: WalkBuffer, buckets: Array[WalkBuffer]): Unit = {
+    sim.walkIO(walks.length)
+    var k = 0
+    while (k < walks.length) {
+      val pre = bg.blockOf(walks.prev(k))
+      buckets(if (pre == b) bg.blockOf(walks.cur(k)) else pre).addFrom(walks, k)
+      k += 1
+    }
+    sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
+  }
 
   /** Advance every record of `walks` under `mem`; each survivor is written
     * back to its new current block's pool.

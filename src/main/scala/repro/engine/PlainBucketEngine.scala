@@ -11,7 +11,9 @@ import repro.walk.WalkTask
   *
   *   - walks are associated with their *current* block (traditional storage);
   *   - the current block is chosen by GraphWalker's state-aware strategy;
-  *   - current walks are split into buckets by their *previous* block;
+  *   - current walks are split into buckets by their *previous* block
+  *     (`CurrentBlockDriver.splitBuckets`: a pooled walk's previous vertex
+  *     lies outside its current block, so it is the pair's other block);
   *   - ancillary blocks are scheduled 0 .. N_B-1 (the jump back to b₀ after
   *     loading the current block is the random block I/O that §7.3 contrasts
   *     with the triangular schedule's sequential loads);
@@ -31,13 +33,7 @@ final class PlainBucketEngine extends WalkEngine {
     // One bucket per ancillary block, reused across time slots.
     val buckets = Array.fill(nB)(new WalkBuffer)
     driver.run { (b, walks) =>
-      sim.walkIO(walks.length)
-      // Buckets by previous block: after initialization every walk has
-      // hop >= 1 and its previous vertex lies outside its current block.
-      var k = 0
-      while (k < walks.length) { buckets(bg.blockOf(walks.prev(k))).addFrom(walks, k); k += 1 }
-
-      sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
+      driver.splitBuckets(b, walks, buckets)
       for (i <- 0 until nB if i != b && buckets(i).nonEmpty) {
         driver.advanceAll(buckets(i), BlockLoading.load(bg, b, i, BlockLoading.AlwaysFull, buckets(i), sim))
         buckets(i).clear()

@@ -45,7 +45,7 @@ object Scheduling {
       if (pools.isEmpty) -1 else (last + 1) % pools.nBlocks
   }
 
-  /** Cyclic like Alphabet, but blocks without walks are skipped (§4.1). */
+  /** Cyclic like Alphabet, but blocks without walks are skipped (§4.1, Alg. 1). */
   final class Iteration extends Scheduling {
     val strategyName = "Iteration"
     def choose(pools: WalkPools, last: Int, slot: Long): Int =

@@ -22,10 +22,9 @@ import repro.walk.WalkTask
   * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advance` steps a
   * record in place and returns whether the walk is still alive, and the
   * engine copies a live record into the pool or bucket its rule names.
-  * The three baselines share GraphWalker's current-block loop, the
-  * [[CurrentBlockDriver]], and differ in its slot body; the bi-block
-  * engine runs its own triangular schedule. An engine instance keeps no
-  * state between runs.
+  * Every engine runs on one current-block loop, the [[CurrentBlockDriver]],
+  * and differs in its strategy, pool rule and slot body. An engine
+  * instance keeps no state between runs.
   */
 trait WalkEngine {
   def name: String

@@ -102,10 +102,10 @@ object BlockedGraph {
   }
 
   /** Partition from an explicit vertex→block assignment: relabels vertices so
-    * blocks are contiguous and returns the blocked relabeled graph plus the
-    * permutation `newId(oldId)`.
+    * blocks are contiguous and returns the blocked relabeled graph. A vertex's
+    * new id is its block's start plus its rank by old id within the block.
     */
-  def fromAssignment(g: CsrGraph, assign: Array[Int]): (BlockedGraph, Array[Int]) = {
+  def fromAssignment(g: CsrGraph, assign: Array[Int]): BlockedGraph = {
     require(assign.length == g.nV, "assignment must cover all vertices")
     require(assign.forall(_ >= 0), s"block ids must be non-negative, got ${assign.min}")
     val nBlocks = assign.max + 1
@@ -122,6 +122,6 @@ object BlockedGraph {
       cursor(assign(v)) += 1
       v += 1
     }
-    (new BlockedGraph(g.relabel(perm), starts), perm)
+    new BlockedGraph(g.relabel(perm), starts)
   }
 }

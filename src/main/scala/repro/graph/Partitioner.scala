@@ -161,7 +161,7 @@ object Partitioner {
       sweep += 1
       if (moved == 0) sweep = RefineSweeps
     }
-    BlockedGraph.fromAssignment(g, compactAssignment(assign))._1
+    BlockedGraph.fromAssignment(g, compactAssignment(assign))
   }
 
   /** Remove empty block IDs (LDG can drain a block on tiny graphs). */

@@ -70,16 +70,26 @@ class BlockedGraphSpec extends AnyFunSuite {
     assert(bg.edgeCut == 1.0)
   }
 
+  /** `newId(oldId)` under `assign`: the vertices of lower blocks come first,
+    * then those of the vertex's own block with a smaller old id.
+    */
+  private def relabelling(assign: Array[Int]): Array[Int] =
+    Array.tabulate(assign.length) { v =>
+      assign.indices.count(u => assign(u) < assign(v) || (assign(u) == assign(v) && u < v))
+    }
+
   test("fromAssignment produces contiguous relabeled blocks") {
     val assign = Array.tabulate(g.nV)(v => v % 3) // interleaved assignment
-    val (bg, perm) = BlockedGraph.fromAssignment(g, assign)
+    val bg = BlockedGraph.fromAssignment(g, assign)
+    val perm = relabelling(assign)
     assert(bg.nBlocks == 3)
     for (v <- 0 until g.nV) assert(bg.blockOf(perm(v)) == assign(v))
   }
 
   test("fromAssignment preserves the edge structure") {
     val assign = Array.tabulate(g.nV)(v => if (v < 30) 0 else if (v < 70) 1 else 2)
-    val (bg, perm) = BlockedGraph.fromAssignment(g, assign)
+    val bg = BlockedGraph.fromAssignment(g, assign)
+    val perm = relabelling(assign)
     for (u <- 0 until g.nV; j <- g.offsets(u) until g.offsets(u + 1)) {
       val v = g.neighbors(j)
       assert(bg.g.hasEdge(perm(u), perm(v)))
