@@ -65,11 +65,12 @@ final class BiBlockEngine(
         val bucket = buckets(i)
         if (bucket.nonEmpty) {
           val mem = BlockLoading.load(bg, b, i, policy, bucket, sim, loadLog)
+          // UpdateWalk: advance each walk while it stays in memory, then
+          // persist the survivors in record order (Alg. 2).
+          walker.advanceAll(bucket, mem)
           var idx = 0
           while (idx < bucket.length) {
-            // UpdateWalk: advance while the walk stays in-memory, then
-            // persist it (Alg. 2).
-            if (walker.advance(bucket, idx, mem)) {
+            if (!bucket.ended(idx)) {
               val cur = bg.blockOf(bucket.cur(idx))
               if (cur > i && bg.blockOf(bucket.prev(idx)) == b)
                 buckets(cur).addFrom(bucket, idx) // bucket-extending (l.14)

@@ -20,9 +20,14 @@ object BlockLoading {
     * first-order engine's one block is `i == b`). Under on-demand load only
     * the activated vertices' CSR segmentations of `i` are resident; a step
     * whose current vertex is another vertex of `i` pays one light vertex
-    * I/O for it (§5.1), once. A step touches only its current vertex: its
-    * previous vertex was either its current vertex one step earlier,
-    * touched then, or activated at load.
+    * I/O for it (§5.1), once. A step needs only its current vertex: its
+    * previous vertex was either its current vertex one step earlier, read
+    * then, or activated at load.
+    *
+    * During a sweep the lanes only read the resident set (`misses`); each
+    * lane marks the vertices it missed in its own set, and the caller
+    * `touch`es their union after the sweep, so every missed vertex is
+    * charged once, whichever lanes reached it.
     */
   final class Loaded private[BlockLoading] (
       bg: BlockedGraph, b: Int, i: Int, loaded: java.util.BitSet,
@@ -30,7 +35,10 @@ object BlockLoading {
 
     def holds(block: Int): Boolean = block == b || block == i
 
-    override def touch(prev: Int, cur: Int): Unit =
+    override def misses(cur: Int): Boolean =
+      loaded != null && bg.blockOf(cur) == i && !loaded.get(cur - bg.blockStart(i))
+
+    override def touch(cur: Int): Unit =
       if (loaded != null && bg.blockOf(cur) == i) {
         val off = cur - bg.blockStart(i)
         if (!loaded.get(off)) { sim.readVertices(1); loaded.set(off) }

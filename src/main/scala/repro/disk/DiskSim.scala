@@ -95,12 +95,13 @@ final class DiskSim(
     */
   def walkIO(n: Long): Unit = walkIOBytes += n * cost.walkBytes
 
-  /** Charge the sampling of one walk step whose current vertex has degree
-    * `deg`; `secondOrder` adds the per-neighbor weighting work of Node2vec.
+  /** Charge the sampling of `n` walk steps; `neighborWork` is the degree
+    * sum of the current vertices of the second-order ones among them, the
+    * per-neighbor weighting work of Node2vec.
     */
-  def chargeStep(deg: Int, secondOrder: Boolean): Unit = {
-    steps += 1
-    if (secondOrder) neighborWork += deg
+  def chargeSteps(n: Long, neighborWork: Long): Unit = {
+    steps += n
+    this.neighborWork += neighborWork
   }
 
   /** One-off sequential scan (SGSC static-cache initialization, §7.1). */

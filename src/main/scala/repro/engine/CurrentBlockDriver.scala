@@ -48,13 +48,14 @@ final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
     sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
   }
 
-  /** Advance every record of `walks` under `mem`; each survivor is written
-    * back to its new current block's pool.
+  /** Sweep `walks` under `mem`, then write each survivor back to its new
+    * current block's pool, in record order.
     */
   def advanceAll(walks: WalkBuffer, mem: Residency): Unit = {
+    walker.advanceAll(walks, mem)
     var k = 0
     while (k < walks.length) {
-      if (walker.advance(walks, k, mem)) { add(walks, k); sim.walkIO(1) }
+      if (!walks.ended(k)) { add(walks, k); sim.walkIO(1) }
       k += 1
     }
   }

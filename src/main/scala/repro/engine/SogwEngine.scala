@@ -60,15 +60,21 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       sim.walkIO(walks.length)
       // A second-order step reads its previous vertex's adjacency: one light
       // vertex I/O unless that vertex is in a resident block or the cache.
-      driver.advanceAll(walks, new Residency {
-        def holds(block: Int): Boolean = block == b
-        override def touch(prev: Int, cur: Int): Unit =
-          if (secondOrder && prev >= 0) {
+      // A walk pooled at b has its previous vertex outside b only on its
+      // first step of the slot, so one check per walk finds every such read.
+      if (secondOrder) {
+        var k = 0
+        while (k < walks.length) {
+          val prev = walks.prev(k)
+          if (prev >= 0) {
             val pb = bg.blockOf(prev)
             val inMem = pb == b || resident.contains(pb) || (cached != null && cached.get(prev))
             if (!inMem) sim.readVertices(1)
           }
-      })
+          k += 1
+        }
+      }
+      driver.advanceAll(walks, new Residency { def holds(block: Int): Boolean = block == b })
     }
   }
 }

@@ -1,5 +1,6 @@
 package repro.engine
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
 import repro.graph.BlockedGraph
@@ -16,7 +17,7 @@ import repro.walk.WalkTask
   * 16 bytes per walk that the engines charge on every pool read/write
   * (`CostModel.walkBytes`). Buffers are cleared and refilled, never shrunk,
   * so an engine's pools and buckets stop allocating once they have grown to
-  * their peak size.
+  * their peak size. A buffer holds at most `MaxRecords` records.
   */
 final class WalkBuffer {
   import WalkBuffer._
@@ -33,6 +34,9 @@ final class WalkBuffer {
   @inline def hop(k: Int): Int = (words(2 * k) & HopMask).toInt
   @inline def prev(k: Int): Int = (words(2 * k + 1) >> 32).toInt
   @inline def cur(k: Int): Int = words(2 * k + 1).toInt
+
+  /** Whether record `k`'s walk ended in the last `Walker.advanceAll`. */
+  @inline def ended(k: Int): Boolean = words(2 * k + 1) == Ended
 
   /** Smallest hop among the records appended since the last `clear`
     * (Int.MaxValue when none). `update` does not lower it, so it is exact
@@ -53,10 +57,13 @@ final class WalkBuffer {
     words(2 * k + 1) = pack1(prev, cur)
   }
 
+  /** Mark record `k`'s walk as ended, keeping its id. */
+  private[engine] def end(k: Int): Unit = words(2 * k + 1) = Ended
+
   def clear(): Unit = { n = 0; lowestHop = Int.MaxValue }
 
   private def append(w0: Long, w1: Long): Unit = {
-    if (2 * n == words.length) words = java.util.Arrays.copyOf(words, 2 * words.length)
+    if (2 * n == words.length) words = java.util.Arrays.copyOf(words, grown(words.length))
     words(2 * n) = w0
     words(2 * n + 1) = w1
     n += 1
@@ -75,6 +82,20 @@ object WalkBuffer {
 
   /** Hops are 24 bits: `maxLen` must stay below 2^24. */
   final val MaxLen: Int = 1 << HopBits
+
+  /** Records a buffer can hold: their words fill an array of 2^30 longs,
+    * and doubling it once more overflows `Int`.
+    */
+  final val MaxRecords: Int = 1 << 29
+
+  // prev = cur = -1: no vertex, so no live record has it.
+  private final val Ended = -1L
+
+  /** The word count a full buffer of `words` words grows to. */
+  private[engine] def grown(words: Int): Int = {
+    require(words < 2 * MaxRecords, s"a walk buffer holds at most $MaxRecords records")
+    2 * words
+  }
 
   @inline private def pack0(id: Long, hop: Int): Long = id << HopBits | hop
   @inline private def pack1(prev: Int, cur: Int): Long = prev.toLong << 32 | (cur & 0xffffffffL)
@@ -118,7 +139,8 @@ final class WalkPools(val nBlocks: Int) {
   *
   * During the run `start`/`step` append one word `id << 32 | vertex` to an
   * append-only log kept in fixed-size chunks, so nothing is boxed or copied
-  * per step. `seal` (called by `Walker.finish` before `run` returns) sorts the
+  * per step; after each sweep `Walker` appends its lanes' logs of the same
+  * words. `seal` (called by `Walker.finish` before `run` returns) sorts the
   * log by walk id with one stable counting sort into a walk-major corpus:
   * walk `w` is `vertices(offsets(w) until offsets(w + 1))`. A walk's vertices
   * are logged in time order, so the sort keeps them in hop order. Reading the
@@ -142,8 +164,20 @@ final class TraceCollector(val nWalks: Int) {
 
   @inline private def append(id: Long, v: Int): Unit = {
     if (pos == ChunkSize) nextChunk()
-    chunk(pos) = id << 32 | (v & 0xffffffffL)
+    chunk(pos) = word(id, v)
     pos += 1
+  }
+
+  /** Append the first `n` words of `log`, each `word(id, vertex)`. */
+  private[engine] def appendAll(log: Array[Long], n: Int): Unit = {
+    var k = 0
+    while (k < n) {
+      if (pos == ChunkSize) nextChunk()
+      val m = math.min(n - k, ChunkSize - pos)
+      System.arraycopy(log, k, chunk, pos, m)
+      pos += m
+      k += m
+    }
   }
 
   private def nextChunk(): Unit = {
@@ -233,20 +267,28 @@ final class TraceCollector(val nWalks: Int) {
 object TraceCollector {
   private[engine] final val ChunkSize = 1 << 13
 
+  /** The log word of walk `id` at vertex `v`. */
+  @inline private[engine] def word(id: Long, v: Int): Long = id << 32 | (v & 0xffffffffL)
+
   /** Vertices a corpus can hold: whole chunks that fit an `Array[Int]`. */
   private final val MaxVertices: Int = Int.MaxValue / ChunkSize * ChunkSize
 }
 
-/** Which blocks an engine holds in memory while it advances a walk, and
-  * what I/O a step costs to reach its previous and current vertex.
+/** Which blocks an engine holds in memory while it advances walks, and which
+  * vertex reads a step costs. Every lane of a sweep calls `holds` and
+  * `misses` at once, so they only read; `touch` charges, on the calling
+  * thread between sweeps.
   */
 abstract class Residency {
   def holds(block: Int): Boolean
 
-  /** Charge the I/O the step from `cur` (entered from `prev`, -1 before
-    * the first step) needs before it samples. Default: none.
+  /** Whether a step from `cur` needs a vertex read that `touch` charges.
+    * Default: never.
     */
-  def touch(prev: Int, cur: Int): Unit = ()
+  def misses(cur: Int): Boolean = false
+
+  /** Charge the read of vertex `cur`, which a step needed, once. */
+  def touch(cur: Int): Unit = ()
 }
 
 /** The one walk-step kernel: every engine starts and advances walks through
@@ -254,9 +296,20 @@ abstract class Residency {
   * and execution cost, visits and traces are recorded uniformly. Walks are
   * records of a [[WalkBuffer]]; the task must fit its id and hop fields, and
   * a corpus, if given, must hold every walk. Engines return `finish()`.
+  *
+  * `advanceAll` sweeps a buffer on every [[Lanes]] lane. Each walk of a
+  * sweep is a pure function of (task seed, walk id, hop), so which lane
+  * takes it cannot change it. What lanes record is lane-local and merged in
+  * lane order: step and neighbour counts and trace logs after each sweep,
+  * visit counts in `finish`, and the vertices a step `misses`, which the
+  * caller then `touch`es. Sums and a set union do not depend on the lane or
+  * order a walk had, and a walk sits in one lane per sweep, so its logged
+  * steps stay in hop order: every count, corpus and visit vector is the one
+  * a single thread gives. Lane state is allocated once per run.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
+  import Walker._
   require(task.totalWalks <= WalkBuffer.MaxWalks,
     s"${task.totalWalks} walks exceed the ${WalkBuffer.MaxWalks} a walk record can number")
   require(task.maxLen < WalkBuffer.MaxLen,
@@ -268,6 +321,25 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   private val model = task.model
   private val secondOrder = model.isSecondOrder
 
+  /** What one lane recorded since the last merge. */
+  private final class Lane(var visits: Array[Long]) {
+    var steps = 0L
+    var neighborWork = 0L
+    var log = new Array[Long](0)
+    var logged = 0
+    var marks: java.util.BitSet = null // vertices whose step `misses`
+  }
+  private val lanes = Array.tabulate(Lanes.count)(l => new Lane(if (l == 0) visits else null))
+
+  // The open sweep. The caller writes it before `unclaimed` opens the
+  // chunks; a lane reads it only after claiming one, and the caller moves on
+  // only once every chunk is `completed`.
+  private var sweep: WalkBuffer = _
+  private var sweepMem: Residency = _
+  private val unclaimed = new AtomicInteger
+  private val completed = new AtomicInteger
+  private val failure = new AtomicReference[Throwable]
+
   /** Append walk `id` at `src` to `into` and record its first vertex. */
   def start(id: Long, src: Int, into: WalkBuffer): Unit = {
     if (visits != null) visits(src) += 1
@@ -275,37 +347,139 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     into.add(id, 0, -1, src)
   }
 
-  /** Step record `k` of `walks` in place while `mem` holds its current
-    * vertex's block. Returns true with the record at the step where the
-    * walk left memory, or false once the walk ended (stuck on a dangling
-    * vertex, or stopped by the task); an ended record is left stale.
+  /** Step every record of `walks` in place while `mem` holds its current
+    * vertex's block. A record is left at the step where its walk left
+    * memory, or marked `ended` once the walk ended (stuck on a dangling
+    * vertex, or stopped by the task). A sweep of at least `ParallelMin`
+    * records runs on every lane unless another sweep holds them; a smaller
+    * one runs the same chunk loop on the caller alone. An exception thrown
+    * in a lane is rethrown here, after the sweep.
     */
-  def advance(walks: WalkBuffer, k: Int, mem: Residency): Boolean = {
-    val id = walks.id(k)
-    var prev = walks.prev(k)
-    var cur = walks.cur(k)
-    var hop = walks.hop(k)
-    while (mem.holds(bg.blockOf(cur))) {
-      mem.touch(prev, cur)
-      sim.chargeStep(g.degree(cur), secondOrder && prev >= 0)
-      val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
-      if (z < 0) return false
-      prev = cur
-      cur = z
-      hop += 1
-      if (visits != null) visits(z) += 1
-      if (trace != null) trace.step(id, z)
-      if (task.stopsAfter(id, hop)) return false
-    }
-    walks.update(k, hop, prev, cur)
-    true
+  def advanceAll(walks: WalkBuffer, mem: Residency): Unit = {
+    val chunks = (walks.length + Chunk - 1) / Chunk
+    sweep = walks
+    sweepMem = mem
+    completed.set(0)
+    unclaimed.set(chunks)
+    val shared = walks.length >= ParallelMin && Lanes.acquire(this)
+    runChunks(0)
+    while (completed.get < chunks) Thread.onSpinWait()
+    if (shared) Lanes.release()
+    merge(mem)
+    val e = failure.getAndSet(null)
+    if (e != null) throw e
   }
 
-  /** End the run: seal the corpus and return the simulated metrics. */
+  /** Advance chunks of the open sweep as lane `l` until none is left. */
+  private[engine] def runChunks(l: Int): Unit = {
+    var c = claim()
+    while (c >= 0) {
+      try advanceChunk(lanes(l), c)
+      catch { case e: Throwable => failure.compareAndSet(null, e) }
+      completed.incrementAndGet()
+      c = claim()
+    }
+  }
+
+  /** Claim an unclaimed chunk of the open sweep, or -1 if none is left. */
+  private def claim(): Int = {
+    var n = unclaimed.get
+    while (n > 0 && !unclaimed.compareAndSet(n, n - 1)) n = unclaimed.get
+    n - 1
+  }
+
+  private def advanceChunk(lane: Lane, c: Int): Unit = {
+    val walks = sweep
+    val mem = sweepMem
+    if (visits != null && lane.visits == null) lane.visits = new Array[Long](g.nV)
+    val seen = lane.visits
+    var steps = 0L
+    var work = 0L
+    var k = c * Chunk
+    val end = math.min(walks.length, k + Chunk)
+    while (k < end) {
+      val id = walks.id(k)
+      var prev = walks.prev(k)
+      var cur = walks.cur(k)
+      var hop = walks.hop(k)
+      var live = true
+      while (live && mem.holds(bg.blockOf(cur))) {
+        if (mem.misses(cur)) {
+          if (lane.marks == null) lane.marks = new java.util.BitSet(g.nV)
+          lane.marks.set(cur)
+        }
+        steps += 1
+        if (secondOrder && prev >= 0) work += g.degree(cur)
+        val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
+        if (z < 0) live = false
+        else {
+          prev = cur
+          cur = z
+          hop += 1
+          if (seen != null) seen(z) += 1
+          if (trace != null) {
+            if (lane.logged == lane.log.length) lane.log = java.util.Arrays.copyOf(lane.log, math.max(LogWords, 2 * lane.logged))
+            lane.log(lane.logged) = TraceCollector.word(id, z)
+            lane.logged += 1
+          }
+          live = !task.stopsAfter(id, hop)
+        }
+      }
+      if (live) walks.update(k, hop, prev, cur) else walks.end(k)
+      k += 1
+    }
+    lane.steps += steps
+    lane.neighborWork += work
+  }
+
+  /** Charge and log what the lanes recorded in the last sweep, in lane order. */
+  private def merge(mem: Residency): Unit = {
+    var l = 0
+    while (l < lanes.length) {
+      val lane = lanes(l)
+      sim.chargeSteps(lane.steps, lane.neighborWork)
+      lane.steps = 0
+      lane.neighborWork = 0
+      if (trace != null) trace.appendAll(lane.log, lane.logged)
+      lane.logged = 0
+      if (lane.marks != null) {
+        var v = lane.marks.nextSetBit(0)
+        while (v >= 0) { mem.touch(v); v = lane.marks.nextSetBit(v + 1) }
+        lane.marks.clear()
+      }
+      l += 1
+    }
+  }
+
+  /** End the run: add the lanes' visits, seal the corpus and return the
+    * simulated metrics.
+    */
   def finish(): DiskSim.Metrics = {
+    Lanes.rest()
+    var l = 1
+    while (l < lanes.length) {
+      val seen = lanes(l).visits
+      if (seen != null) {
+        var v = 0
+        while (v < seen.length) { visits(v) += seen(v); v += 1 }
+        lanes(l).visits = null
+      }
+      l += 1
+    }
     if (trace != null) trace.seal()
     sim.snapshot
   }
+}
+
+object Walker {
+  /** Records a lane claims at a time. */
+  private final val Chunk = 12
+
+  /** The smallest sweep worth waking the other lanes for. */
+  private final val ParallelMin = 48
+
+  /** A lane's first trace log. */
+  private final val LogWords = 1 << 10
 }
 
 /** Walk initialization (paper Appendix B): iterate the blocks once
@@ -316,33 +490,70 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   */
 object Init {
 
+  /** Where a surviving walk goes: record `k` of `walks`, valid during the call. */
+  trait Persist { def apply(walks: WalkBuffer, k: Int): Unit }
+
+  /** Walks started per sweep, which bounds the start buffer on any task. */
+  private final val Batch = 1 << 16
+
   /** Runs initialization, invoking `persist(walks, k)` for every surviving
-    * walk (its current vertex is outside its source block); the record is
-    * only valid during the call.
+    * walk (its current vertex is outside its source block), in walk id order.
     */
-  def run(walker: Walker)(persist: (WalkBuffer, Int) => Unit): Unit = {
+  def run(walker: Walker)(persist: Persist): Unit = {
     val bg = walker.bg
     val sim = walker.sim
-    // Group start vertices by block for the sequential init scan.
-    val startsByBlock = Array.fill(bg.nBlocks)(new ArrayBuffer[(Int, Int)])
-    walker.task.starts.foreach { case (v, c) => if (c > 0) startsByBlock(bg.blockOf(v)) += ((v, c)) }
+    val starts = walker.task.starts
+    // Walk IDs must be identical across engines: assign in (block, start)
+    // order, by a stable counting sort of the starts with walks.
+    val first = new Array[Int](bg.nBlocks + 1)
+    var j = 0
+    while (j < starts.length) {
+      if (starts(j)._2 > 0) first(bg.blockOf(starts(j)._1) + 1) += 1
+      j += 1
+    }
+    var c = 0
+    while (c < bg.nBlocks) { first(c + 1) += first(c); c += 1 }
+    val order = new Array[Int](first(bg.nBlocks))
+    val next = java.util.Arrays.copyOf(first, bg.nBlocks)
+    j = 0
+    while (j < starts.length) {
+      if (starts(j)._2 > 0) {
+        val s = bg.blockOf(starts(j)._1)
+        order(next(s)) = j
+        next(s) += 1
+      }
+      j += 1
+    }
+
     val fresh = new WalkBuffer
     var nextId = 0L
-    // Walk IDs must be identical across engines: assign in (block, start) order.
-    for (b <- 0 until bg.nBlocks if startsByBlock(b).nonEmpty) {
+    for (b <- 0 until bg.nBlocks if first(b) < first(b + 1)) {
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       sim.timeSlots += 1
       val source = new Residency { def holds(block: Int): Boolean = block == b }
-      startsByBlock(b).foreach { case (v, count) =>
+      def sweep(): Unit = {
+        walker.advanceAll(fresh, source)
         var k = 0
-        while (k < count) {
-          fresh.clear()
-          walker.start(nextId, v, fresh)
-          if (walker.advance(fresh, 0, source)) persist(fresh, 0)
-          nextId += 1
+        while (k < fresh.length) {
+          if (!fresh.ended(k)) persist(fresh, k)
           k += 1
         }
+        fresh.clear()
       }
+      var o = first(b)
+      while (o < first(b + 1)) {
+        val v = starts(order(o))._1
+        val count = starts(order(o))._2
+        var k = 0
+        while (k < count) {
+          walker.start(nextId, v, fresh)
+          nextId += 1
+          k += 1
+          if (fresh.length == Batch) sweep()
+        }
+        o += 1
+      }
+      sweep()
     }
   }
 }

@@ -19,12 +19,15 @@ import repro.walk.WalkTask
   * `BlockLoading.load`, the one call that picks a block's load mode from
   * η, charges the load and logs its LBL sample; SOGW/SGSC charge their
   * previous-vertex I/Os themselves.
-  * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advance` steps a
-  * record in place and returns whether the walk is still alive, and the
-  * engine copies a live record into the pool or bucket its rule names.
-  * Every engine runs on one current-block loop, the [[CurrentBlockDriver]],
-  * and differs in its strategy, pool rule and slot body. An engine
-  * instance keeps no state between runs.
+  * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advanceAll` steps
+  * every record of a buffer in place, spread over the [[Lanes]], and marks
+  * the walks that ended; the engine then copies each live record, in record
+  * order, into the pool or bucket its rule names. Lanes share no state: each
+  * counts, logs and marks into its own buffers, merged in lane order, so a
+  * run's counts, corpus and visits are the single-threaded ones whatever
+  * lane takes a walk. Every engine runs on one current-block loop, the
+  * [[CurrentBlockDriver]], and differs in its strategy, pool rule and slot
+  * body. An engine instance keeps no state between runs.
   */
 trait WalkEngine {
   def name: String

@@ -74,7 +74,7 @@ class BlockLoadingModelSpec extends AnyFunSuite {
     val s = sim()
     val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysFull, new WalkBuffer, s)
     assert(s.blockIOCount == 1 && s.vertexIOCount == 0)
-    a.touch(-1, 12)
+    a.touch(12)
     assert(s.vertexIOCount == 0)
   }
 
@@ -95,9 +95,9 @@ class BlockLoadingModelSpec extends AnyFunSuite {
     val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysOnDemand,
                               walk(0, prev = 5, cur = 12, hop = 2), s)
     val before = s.vertexIOCount
-    a.touch(-1, 14); a.touch(-1, 14)
+    a.touch(14); a.touch(14)
     assert(s.vertexIOCount == before + 1)
-    a.touch(-1, 12) // activated at load time: already resident
+    a.touch(12) // activated at load time: already resident
     assert(s.vertexIOCount == before + 1)
   }
 

@@ -63,7 +63,7 @@ class DiskSimSpec extends AnyFunSuite {
   test("walkScale multiplies vertex I/O and execution time, not counts") {
     val s = new DiskSim(cm, walkScale = 50.0)
     s.readVertices(4)
-    s.chargeStep(10, secondOrder = true)
+    s.chargeSteps(1, neighborWork = 10)
     assert(s.vertexIOCount == 4 && s.steps == 1)
     assert(math.abs(s.vertexIOTimeSec - 4 * 1e-6 * 50) < 1e-12)
     assert(math.abs(s.execTimeSec - (1e-8 + 10 * 1e-10) * 50) < 1e-15)
@@ -71,15 +71,15 @@ class DiskSimSpec extends AnyFunSuite {
 
   test("first-order steps skip the per-neighbor charge") {
     val s = new DiskSim(cm)
-    s.chargeStep(1000, secondOrder = false)
+    s.chargeSteps(1, neighborWork = 0)
     assert(math.abs(s.execTimeSec - 1e-8) < 1e-15)
     assert(s.neighborWork == 0)
   }
 
   test("second-order steps accumulate neighbor work") {
     val s = new DiskSim(cm)
-    s.chargeStep(7, secondOrder = true)
-    s.chargeStep(5, secondOrder = true)
+    s.chargeSteps(1, neighborWork = 7)
+    s.chargeSteps(1, neighborWork = 5)
     assert(s.neighborWork == 12)
   }
 
@@ -92,7 +92,7 @@ class DiskSimSpec extends AnyFunSuite {
 
   test("wall time is the sum of I/O and execution components") {
     val s = new DiskSim(cm)
-    s.readBlock(0, 1000); s.readVertices(3); s.walkIO(10); s.chargeStep(4, secondOrder = true)
+    s.readBlock(0, 1000); s.readVertices(3); s.walkIO(10); s.chargeSteps(1, neighborWork = 4)
     s.chargeCacheInit(5000)
     val m = s.snapshot
     assert(m.cacheInitTimeSec > 0)
@@ -112,8 +112,8 @@ class DiskSimSpec extends AnyFunSuite {
     val charge: Gen[Charge] = Gen.oneOf(
       Gen.choose(0L, 50L).map(n => Charge(s"readVertices($n)", _.readVertices(n))),
       Gen.choose(0L, 500L).map(n => Charge(s"walkIO($n)", _.walkIO(n))),
-      for (deg <- Gen.choose(0, 10000); so <- Gen.oneOf(true, false))
-        yield Charge(s"chargeStep($deg, $so)", _.chargeStep(deg, so)),
+      for (n <- Gen.choose(0L, 50L); work <- Gen.choose(0L, 10000L))
+        yield Charge(s"chargeSteps($n, $work)", _.chargeSteps(n, work)),
       Gen.choose(0L, 1L << 30).map(b => Charge(s"chargeCacheInit($b)", _.chargeCacheInit(b))),
     )
     val charges = for {
@@ -135,7 +135,7 @@ class DiskSimSpec extends AnyFunSuite {
 
   test("snapshot mirrors the counters") {
     val s = new DiskSim(cm)
-    s.readBlock(0, 10); s.readVertices(2); s.chargeStep(3, secondOrder = true)
+    s.readBlock(0, 10); s.readVertices(2); s.chargeSteps(1, neighborWork = 3)
     val m = s.snapshot
     assert(m.blockIOCount == 1 && m.vertexIOCount == 2 && m.steps == 1)
     assert(m.wallTimeSec == s.wallTimeSec && m.execTimeSec == s.execTimeSec)

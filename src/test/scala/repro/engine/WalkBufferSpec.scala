@@ -35,6 +35,13 @@ class WalkBufferSpec extends AnyFunSuite {
     assert(b.isEmpty && b.minHop == Int.MaxValue)
   }
 
+  test("a buffer grows by doubling and fails fast past MaxRecords") {
+    assert(WalkBuffer.grown(32) == 64)
+    assert(WalkBuffer.grown(WalkBuffer.MaxRecords) == 2 * WalkBuffer.MaxRecords)
+    val e = intercept[IllegalArgumentException](WalkBuffer.grown(2 * WalkBuffer.MaxRecords))
+    assert(e.getMessage.contains(s"at most ${WalkBuffer.MaxRecords} records"))
+  }
+
   test("pools track their minimum hop and reset it on drain") {
     val p = new WalkPools(3)
     def minHops = (0 until 3).map(p.pool(_).minHop)
@@ -81,18 +88,28 @@ class WalkBufferSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](new Walker(bg, task(1 << 24), new DiskSim(), null, null))
   }
 
+  /** Bytes allocated so far by each live thread, by thread id. */
+  private def allocatedBytes(): Map[Long, Long] = {
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val ids = mx.getAllThreadIds
+    ids.zip(mx.getThreadAllocatedBytes(ids)).filter(_._2 >= 0).toMap
+  }
+
+  /** Bytes every thread allocated since `before`, a run's lanes included. */
+  private def allocatedSince(before: Map[Long, Long]): Long =
+    allocatedBytes().map { case (id, bytes) => bytes - before.getOrElse(id, 0L) }.sum
+
   test("a BiBlock run without visits or trace allocates at most 8 bytes per step") {
     val g = TestGraphs.connected(3000, 24000, seed = 71)
     val bg = TestGraphs.blocked(g, 12)
     val task = WalkTask.rwnv(g, walksPerVertex = 1, len = 40)
-    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     for (policy <- Seq(BlockLoading.AlwaysFull, BlockLoading.AlwaysOnDemand)) {
       val engine = new BiBlockEngine(policy)
       engine.run(bg, task, new DiskSim()) // warm-up
       val sim = new DiskSim()
-      val before = mx.getCurrentThreadAllocatedBytes
+      val before = allocatedBytes()
       val m = engine.run(bg, task, sim)
-      val perStep = (mx.getCurrentThreadAllocatedBytes - before).toDouble / m.steps
+      val perStep = allocatedSince(before).toDouble / m.steps
       info(f"${engine.name}: $perStep%.2f B/step over ${m.steps} steps")
       assert(m.steps >= 50000)
       assert(perStep <= 8.0, f"${engine.name}: $perStep%.2f B/step")
@@ -103,13 +120,12 @@ class WalkBufferSpec extends AnyFunSuite {
     val g = TestGraphs.connected(3000, 24000, seed = 71)
     val bg = TestGraphs.blocked(g, 12)
     val task = WalkTask.rwnv(g, walksPerVertex = 1, len = 40)
-    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     val engine = new BiBlockEngine(BlockLoading.AlwaysFull)
     engine.run(bg, task, new DiskSim(), null, new TraceCollector(task.totalWalks.toInt)) // warm-up
     val trace = new TraceCollector(task.totalWalks.toInt)
-    val before = mx.getCurrentThreadAllocatedBytes
+    val before = allocatedBytes()
     val m = engine.run(bg, task, new DiskSim(), null, trace)
-    val perStep = (mx.getCurrentThreadAllocatedBytes - before).toDouble / m.steps
+    val perStep = allocatedSince(before).toDouble / m.steps
     info(f"${engine.name} traced: $perStep%.2f B/step over ${m.steps} steps")
     assert(m.steps >= 50000)
     assert((0 until trace.nWalks).map(trace.length(_).toLong).sum == m.steps + trace.nWalks)
