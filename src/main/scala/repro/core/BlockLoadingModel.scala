@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 import repro.disk.DiskSim
-import repro.engine.{Residency, WalkBuffer}
 import repro.graph.BlockedGraph
 
 /** Block loading (§5): the full-load and on-demand-load methods, and the
@@ -15,73 +14,37 @@ object BlockLoading {
   case object Full extends Mode
   case object OnDemand extends Mode
 
-  /** The blocks of a time slot in memory: block `i` as `load` brought it
-    * in, and the current block `b`, which the engine loaded in full (the
-    * first-order engine's one block is `i == b`). Under on-demand load only
-    * the activated vertices' CSR segmentations of `i` are resident; a step
-    * whose current vertex is another vertex of `i` pays one light vertex
-    * I/O for it (§5.1), once. A step needs only its current vertex: its
-    * previous vertex was either its current vertex one step earlier, read
-    * then, or activated at load.
-    *
-    * During a sweep the lanes only read the resident set (`misses`); each
-    * lane marks the vertices it missed in its own set, and the caller
-    * `touch`es their union after the sweep, so every missed vertex is
-    * charged once, whichever lanes reached it.
-    */
+  /** A block `load` charged, until its (block, η, t) sample is logged. */
   final class Loaded private[BlockLoading] (
-      bg: BlockedGraph, b: Int, i: Int, loaded: java.util.BitSet,
-      eta: Double, sim: DiskSim, log: LoadLogCollector, t0: Double) extends Residency {
-
-    def holds(block: Int): Boolean = block == b || block == i
-
-    override def misses(cur: Int): Boolean =
-      loaded != null && bg.blockOf(cur) == i && !loaded.get(cur - bg.blockStart(i))
-
-    override def touch(cur: Int): Unit =
-      if (loaded != null && bg.blockOf(cur) == i) {
-        val off = cur - bg.blockStart(i)
-        if (!loaded.get(off)) { sim.readVertices(1); loaded.set(off) }
-      }
+      i: Int, eta: Double, sim: DiskSim, log: LoadLogCollector, t0: Double) {
 
     /** Record this load's (i, η, t) sample into the log `load` was given, if
-      * any; `t` is the simulated time from the load to now, so call it after
-      * the slot.
+      * any; `t` is the simulated time from the load to now, so call it once
+      * the bucket's steps and walk I/O are charged.
       */
     def logSample(): Unit =
       if (log != null) log.record(i, eta, sim.wallTimeSec - t0)
   }
 
-  /** Load block `i` for a time slot whose current block is `b`: take
-    * η = |W| / |V_i| of the walks `walks` that will step under it, let
-    * `policy` pick the mode, and charge `sim` a full load or the on-demand
-    * load of the vertices the walks activate (their previous and current
-    * vertices inside `i`, the Vertex Map of Fig. 5). With a `log`, the
-    * start time is taken for the sample `logSample` records.
+  /** Load block `i` for a bucket of `walks` walks: take η = walks / |V_i|,
+    * let `policy` pick the mode, and charge `sim` a full load or the
+    * on-demand load of the `touched` vertices of `i` the bucket reads — the
+    * ones its walks activate (their previous or current vertex inside `i`,
+    * the Vertex Map of Fig. 5) and the others it steps from, one light
+    * vertex I/O each (§5.1). A step needs only its current vertex: its
+    * previous vertex was its current vertex one step earlier, or activated.
+    * With a `log`, the start time is taken for the sample `logSample`
+    * records.
     */
-  def load(bg: BlockedGraph, b: Int, i: Int, policy: Policy, walks: WalkBuffer,
+  def load(bg: BlockedGraph, i: Int, policy: Policy, walks: Int, touched: Int,
            sim: DiskSim, log: LoadLogCollector = null): Loaded = {
     val t0 = if (log != null) sim.wallTimeSec else 0.0
-    val eta = BlockLoading.eta(walks.length, bg.verticesInBlock(i))
-    val loaded = policy.mode(i, eta) match {
-      case Full =>
-        sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
-        null
-      case OnDemand =>
-        val bits = new java.util.BitSet(bg.verticesInBlock(i))
-        var k = 0
-        while (k < walks.length) {
-          val cur = walks.cur(k)
-          val prev = walks.prev(k)
-          if (bg.blockOf(cur) == i) bits.set(cur - bg.blockStart(i))
-          if (prev >= 0 && bg.blockOf(prev) == i) bits.set(prev - bg.blockStart(i))
-          k += 1
-        }
-        val n = bits.cardinality()
-        if (n > 0) sim.readVertices(n)
-        bits
+    val eta = BlockLoading.eta(walks, bg.verticesInBlock(i))
+    policy.mode(i, eta) match {
+      case Full => sim.readBlock(bg.blockOffset(i), bg.blockBytes(i))
+      case OnDemand => if (touched > 0) sim.readVertices(touched)
     }
-    new Loaded(bg, b, i, loaded, eta, sim, log, t0)
+    new Loaded(i, eta, sim, log, t0)
   }
 
   /** η = |W| / |V_b| (§5.2): walks loading a block per vertex of it. */

@@ -1,11 +1,12 @@
 package repro.engine
 
+import repro.core.{BlockLoading, LoadLogCollector}
 import repro.disk.DiskSim
 
 /** The current-block loop (Appendix A), shared by every engine. Each time
   * slot the strategy picks a block, the driver drains its pool, counts the
-  * slot and hands `(block, walks)` to the engine's slot body, which charges
-  * the block and walk loads and advances the walks. Walks are pooled by
+  * slot and hands `(block, walks)` to the engine's slot body, which sweeps
+  * the walks once and charges the block and walk loads. Walks are pooled by
   * current block, or by skewed home block in the bi-block engine. One
   * driver serves one run; the strategy's previous choice is held here.
   */
@@ -34,29 +35,33 @@ final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
   /** Pool record `k` of `walks` by its current block. */
   def add(walks: WalkBuffer, k: Int): Unit = pools.add(bg.blockOf(walks.cur(k)), walks, k)
 
-  /** Open a PB or bi-block slot: charge the walk read, split `walks` into
-    * `buckets` by the other block of each walk's pair (Eq. 4), load `b`.
+  /** A PB or bi-block slot up to the persist (Alg. 1 l.3–l.9): read the
+    * walks and block `b`, sweep the walks once under bucket rule `rule`
+    * (`Walker.Pairs` or `Walker.Extending`), then charge each bucket with
+    * walks in ascending block order, the ancillary loop. The caller persists
+    * the survivors.
     */
-  def splitBuckets(b: Int, walks: WalkBuffer, buckets: Array[WalkBuffer]): Unit = {
+  def sweepBuckets(b: Int, walks: WalkBuffer, rule: Int, policy: BlockLoading.Policy,
+                   log: LoadLogCollector): Unit = {
     sim.walkIO(walks.length)
-    var k = 0
-    while (k < walks.length) {
-      val pre = bg.blockOf(walks.prev(k))
-      buckets(if (pre == b) bg.blockOf(walks.cur(k)) else pre).addFrom(walks, k)
-      k += 1
-    }
     sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
+    walker.advanceAll(walks, b, rule, marks = policy ne BlockLoading.AlwaysFull)
+    var i = 0
+    while (i < bg.nBlocks) {
+      if (i != b && walker.arrivals(i) > 0) chargeBucket(i, policy, log, reads = 0)
+      i += 1
+    }
   }
 
-  /** Sweep `walks` under `mem`, then write each survivor back to its new
-    * current block's pool, in record order.
+  /** Charge bucket `i` of the last sweep: block `i`'s load (its mode from
+    * η, through `BlockLoading.load`), `reads` walk reads, the bucket's steps
+    * and its survivors' walk writes, then the load's (i, η, t) sample.
     */
-  def advanceAll(walks: WalkBuffer, mem: Residency): Unit = {
-    walker.advanceAll(walks, mem)
-    var k = 0
-    while (k < walks.length) {
-      if (!walks.ended(k)) { add(walks, k); sim.walkIO(1) }
-      k += 1
-    }
+  def chargeBucket(i: Int, policy: BlockLoading.Policy, log: LoadLogCollector, reads: Int): Unit = {
+    val loaded = BlockLoading.load(bg, i, policy, walker.arrivals(i), walker.touched(i), sim, log)
+    sim.walkIO(reads)
+    walker.chargeSteps(i)
+    sim.walkIO(walker.survivors(i))
+    loaded.logSample()
   }
 }

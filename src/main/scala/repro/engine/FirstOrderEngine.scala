@@ -45,10 +45,9 @@ final class FirstOrderEngine(
 
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
     driver.run { (b, walks) =>
-      val mem = BlockLoading.load(bg, b, b, policy, walks, sim, loadLog)
-      sim.walkIO(walks.length)
-      driver.advanceAll(walks, mem)
-      mem.logSample()
+      walker.advanceAll(walks, b, Walker.Fixed, marks = policy ne BlockLoading.AlwaysFull)
+      driver.chargeBucket(b, policy, loadLog, reads = walks.length)
+      walks.persistSurvivors(driver.add)
     }
   }
 }

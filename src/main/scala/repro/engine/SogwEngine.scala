@@ -74,7 +74,10 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
           k += 1
         }
       }
-      driver.advanceAll(walks, new Residency { def holds(block: Int): Boolean = block == b })
+      walker.advanceAll(walks, b, Walker.Fixed, marks = false)
+      walker.chargeSteps(b)
+      sim.walkIO(walker.survivors(b))
+      walks.persistSurvivors(driver.add)
     }
   }
 }

@@ -38,6 +38,17 @@ final class WalkBuffer {
   /** Whether record `k`'s walk ended in the last `Walker.advanceAll`. */
   @inline def ended(k: Int): Boolean = words(2 * k + 1) == Ended
 
+  /** Hand every record whose walk did not end in the last sweep to `to`, in
+    * record order.
+    */
+  def persistSurvivors(to: WalkBuffer.Persist): Unit = {
+    var k = 0
+    while (k < n) {
+      if (!ended(k)) to(this, k)
+      k += 1
+    }
+  }
+
   /** Smallest hop among the records appended since the last `clear`
     * (Int.MaxValue when none). `update` does not lower it, so it is exact
     * for a buffer that is only appended to and cleared whole — a pool.
@@ -73,6 +84,9 @@ final class WalkBuffer {
 }
 
 object WalkBuffer {
+  /** Where a surviving walk goes: record `k` of `walks`, valid during the call. */
+  trait Persist { def apply(walks: WalkBuffer, k: Int): Unit }
+
   private final val HopBits = 24
   private final val HopMask = (1L << HopBits) - 1
   private final val InitialWalks = 16
@@ -139,21 +153,31 @@ final class WalkPools(val nBlocks: Int) {
   *
   * During the run `start`/`step` append one word `id << 32 | vertex` to an
   * append-only log kept in fixed-size chunks, so nothing is boxed or copied
-  * per step; after each sweep `Walker` appends its lanes' logs of the same
-  * words. `seal` (called by `Walker.finish` before `run` returns) sorts the
-  * log by walk id with one stable counting sort into a walk-major corpus:
-  * walk `w` is `vertices(offsets(w) until offsets(w + 1))`. A walk's vertices
-  * are logged in time order, so the sort keeps them in hop order. Reading the
-  * corpus before `seal`, or appending after it, throws IllegalStateException.
+  * per step; after each sweep `Walker` appends the words its lanes logged as
+  * segments of their own arrays, which the collector keeps uncopied. `seal`
+  * (called by `Walker.finish` before `run` returns) sorts the log, segment
+  * after segment, by walk id with one stable counting sort into a walk-major
+  * corpus: walk `w` is `vertices(offsets(w) until offsets(w + 1))`. A walk's
+  * vertices are logged in time order, so the sort keeps them in hop order.
+  * Reading the corpus before `seal`, or appending after it, throws
+  * IllegalStateException.
   */
 final class TraceCollector(val nWalks: Int) {
   import TraceCollector._
   require(nWalks >= 0, s"a corpus of $nWalks walks")
 
-  private var chunks = new Array[Array[Long]](4)
-  private var nChunks = 0
+  // The log: segment s is segWords(s)(segFrom(s) until segTo(s)).
+  private var segWords = new Array[Array[Long]](16)
+  private var segFrom = new Array[Int](16)
+  private var segTo = new Array[Int](16)
+  private var nSegs = 0
+  private var logged = 0L // words in segments
+
+  // The collector's own chunk: `start`/`step` write at `pos`; its words from
+  // `open` on are not in a segment yet. ChunkSize forces a new chunk (or the
+  // sealed check).
   private var chunk: Array[Long] = null
-  // Next free slot of `chunk`; ChunkSize forces a new chunk (or the sealed check).
+  private var open = ChunkSize
   private var pos = ChunkSize
 
   private var offsets: Array[Int] = null
@@ -168,67 +192,84 @@ final class TraceCollector(val nWalks: Int) {
     pos += 1
   }
 
-  /** Append the first `n` words of `log`, each `word(id, vertex)`. */
-  private[engine] def appendAll(log: Array[Long], n: Int): Unit = {
-    var k = 0
-    while (k < n) {
-      if (pos == ChunkSize) nextChunk()
-      val m = math.min(n - k, ChunkSize - pos)
-      System.arraycopy(log, k, chunk, pos, m)
-      pos += m
-      k += m
+  /** Append `words(from until to)`, each `word(id, vertex)`, to the log
+    * without copying them: the caller must not rewrite them.
+    */
+  private[engine] def appendSegment(words: Array[Long], from: Int, to: Int): Unit = {
+    closeOwn()
+    addSegment(words, from, to)
+  }
+
+  private def closeOwn(): Unit = {
+    if (pos > open) addSegment(chunk, open, pos)
+    open = pos
+  }
+
+  private def addSegment(words: Array[Long], from: Int, to: Int): Unit = {
+    if (offsets != null) throw new IllegalStateException("the corpus is sealed: a TraceCollector records one run")
+    if (to > from) {
+      if (logged + (to - from) > MaxVertices)
+        throw new IllegalStateException(s"a corpus holds at most $MaxVertices vertices")
+      if (nSegs == segWords.length) {
+        segWords = java.util.Arrays.copyOf(segWords, 2 * nSegs)
+        segFrom = java.util.Arrays.copyOf(segFrom, 2 * nSegs)
+        segTo = java.util.Arrays.copyOf(segTo, 2 * nSegs)
+      }
+      segWords(nSegs) = words
+      segFrom(nSegs) = from
+      segTo(nSegs) = to
+      nSegs += 1
+      logged += to - from
     }
   }
 
   private def nextChunk(): Unit = {
+    closeOwn()
     if (offsets != null) throw new IllegalStateException("the corpus is sealed: a TraceCollector records one run")
-    if (nChunks.toLong * ChunkSize >= MaxVertices)
-      throw new IllegalStateException(s"a corpus holds at most $MaxVertices vertices")
-    if (nChunks == chunks.length) chunks = java.util.Arrays.copyOf(chunks, 2 * nChunks)
     chunk = new Array[Long](ChunkSize)
-    chunks(nChunks) = chunk
-    nChunks += 1
+    open = 0
     pos = 0
   }
 
   /** Sort the log into the walk-major corpus and drop it. Idempotent. */
   private[engine] def seal(): Unit = if (offsets == null) {
-    val n = if (nChunks == 0) 0 else (nChunks - 1) * ChunkSize + pos
+    closeOwn()
     val off = new Array[Int](nWalks + 1)
-    var c = 0
-    while (c < nChunks) {
-      val words = chunks(c)
-      val end = if (c == nChunks - 1) pos else ChunkSize
-      var k = 0
-      while (k < end) {
+    var s = 0
+    while (s < nSegs) {
+      val words = segWords(s)
+      var k = segFrom(s)
+      while (k < segTo(s)) {
         val id = (words(k) >>> 32).toInt
         if (id < 0 || id >= nWalks) throw new IllegalStateException(s"walk $id logged in a corpus of $nWalks walks")
         off(id + 1) += 1
         k += 1
       }
-      c += 1
+      s += 1
     }
     var w = 0
     while (w < nWalks) { off(w + 1) += off(w); w += 1 }
     // Scatter with off(w) as walk w's cursor; it ends at walk w + 1's start.
-    val vs = new Array[Int](n)
-    c = 0
-    while (c < nChunks) {
-      val words = chunks(c)
-      val end = if (c == nChunks - 1) pos else ChunkSize
-      var k = 0
-      while (k < end) {
+    val vs = new Array[Int](logged.toInt)
+    s = 0
+    while (s < nSegs) {
+      val words = segWords(s)
+      var k = segFrom(s)
+      while (k < segTo(s)) {
         val id = (words(k) >>> 32).toInt
         vs(off(id)) = words(k).toInt
         off(id) += 1
         k += 1
       }
-      c += 1
+      s += 1
     }
     System.arraycopy(off, 0, off, 1, nWalks)
     off(0) = 0
-    chunks = null
+    segWords = null
+    segFrom = null
+    segTo = null
     chunk = null
+    open = ChunkSize
     pos = ChunkSize
     vertices = vs
     offsets = off
@@ -270,25 +311,8 @@ object TraceCollector {
   /** The log word of walk `id` at vertex `v`. */
   @inline private[engine] def word(id: Long, v: Int): Long = id << 32 | (v & 0xffffffffL)
 
-  /** Vertices a corpus can hold: whole chunks that fit an `Array[Int]`. */
+  /** Vertices a corpus can hold: at most an `Array[Int]`'s length. */
   private final val MaxVertices: Int = Int.MaxValue / ChunkSize * ChunkSize
-}
-
-/** Which blocks an engine holds in memory while it advances walks, and which
-  * vertex reads a step costs. Every lane of a sweep calls `holds` and
-  * `misses` at once, so they only read; `touch` charges, on the calling
-  * thread between sweeps.
-  */
-abstract class Residency {
-  def holds(block: Int): Boolean
-
-  /** Whether a step from `cur` needs a vertex read that `touch` charges.
-    * Default: never.
-    */
-  def misses(cur: Int): Boolean = false
-
-  /** Charge the read of vertex `cur`, which a step needed, once. */
-  def touch(cur: Int): Unit = ()
 }
 
 /** The one walk-step kernel: every engine starts and advances walks through
@@ -297,15 +321,18 @@ abstract class Residency {
   * records of a [[WalkBuffer]]; the task must fit its id and hop fields, and
   * a corpus, if given, must hold every walk. Engines return `finish()`.
   *
-  * `advanceAll` sweeps a buffer on every [[Lanes]] lane. Each walk of a
-  * sweep is a pure function of (task seed, walk id, hop), so which lane
-  * takes it cannot change it. What lanes record is lane-local and merged in
-  * lane order: step and neighbour counts and trace logs after each sweep,
-  * visit counts in `finish`, and the vertices a step `misses`, which the
-  * caller then `touch`es. Sums and a set union do not depend on the lane or
-  * order a walk had, and a walk sits in one lane per sweep, so its logged
-  * steps stay in hop order: every count, corpus and visit vector is the one
-  * a single thread gives. Lane state is allocated once per run.
+  * `advanceAll` sweeps the walks of one time slot on every [[Lanes]] lane,
+  * each walk in a bucket (see `Fixed`, `Pairs`, `Extending`), and tallies
+  * per bucket what the engine charges for it afterwards: arrivals, steps,
+  * neighbour work, survivors and, when asked, the vertices of the bucket's
+  * block that a walk activated on arrival or stepped from. Each walk is a
+  * pure function of (task seed, walk id, hop), so which lane takes it cannot
+  * change it. Lanes count, log and mark into their own state, merged in
+  * lane order: tallies and trace logs after each sweep, visit counts in
+  * `finish`. Sums and a set union do not depend on the lane or order a walk
+  * had, and a walk sits in one lane per sweep, so its logged steps stay in
+  * hop order: every count, corpus and visit vector is the one a single
+  * thread gives. Lane state is allocated once per run.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
@@ -320,22 +347,40 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   private val g = bg.g
   private val model = task.model
   private val secondOrder = model.isSecondOrder
+  private val nB = bg.nBlocks
 
-  /** What one lane recorded since the last merge. */
+  /** What one lane recorded in the open sweep. */
   private final class Lane(var visits: Array[Long]) {
-    var steps = 0L
-    var neighborWork = 0L
-    var log = new Array[Long](0)
+    val counts = new Array[Long](Fields * nB) // per bucket, see `Fields`
+    var marks: Array[Long] = null // a bit per vertex
+    // Trace words: `log` is written at `logged`, and its words from `logFrom`
+    // on, with the logs `filled` before it in the open sweep, are not in the
+    // corpus yet.
+    var log: Array[Long] = null
+    var logFrom = 0
     var logged = 0
-    var marks: java.util.BitSet = null // vertices whose step `misses`
+    val filled = new ArrayBuffer[Array[Long]]
+
+    /** Start a new log, twice the last one's size up to a chunk's. */
+    def nextLog(): Unit = {
+      log = if (log == null) new Array[Long](LogWords) else {
+        filled += log
+        new Array[Long](math.min(2 * log.length, TraceCollector.ChunkSize))
+      }
+      logged = 0
+    }
   }
   private val lanes = Array.tabulate(Lanes.count)(l => new Lane(if (l == 0) visits else null))
+  // The last sweep's counts, summed over lanes.
+  private val total = new Array[Long](Fields * nB)
 
   // The open sweep. The caller writes it before `unclaimed` opens the
   // chunks; a lane reads it only after claiming one, and the caller moves on
   // only once every chunk is `completed`.
-  private var sweep: WalkBuffer = _
-  private var sweepMem: Residency = _
+  private var sweepWalks: WalkBuffer = _
+  private var sweepBlock = 0
+  private var sweepRule = Fixed
+  private var sweepMarks = false
   private val unclaimed = new AtomicInteger
   private val completed = new AtomicInteger
   private val failure = new AtomicReference[Throwable]
@@ -347,34 +392,55 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     into.add(id, 0, -1, src)
   }
 
-  /** Step every record of `walks` in place while `mem` holds its current
-    * vertex's block. A record is left at the step where its walk left
+  /** Step every record of `walks` in place, in the time slot whose current
+    * block is `b`, while its current block is `b` or its bucket's block
+    * (bucket rule `rule`). A record is left at the step where its walk left
     * memory, or marked `ended` once the walk ended (stuck on a dangling
-    * vertex, or stopped by the task). A sweep of at least `ParallelMin`
-    * records runs on every lane unless another sweep holds them; a smaller
-    * one runs the same chunk loop on the caller alone. An exception thrown
-    * in a lane is rethrown here, after the sweep.
+    * vertex, or stopped by the task). With `marks`, `touched` counts the
+    * vertices each bucket activated or stepped from. A sweep of at least
+    * `ParallelMin` records runs on every lane unless another sweep holds
+    * them; a smaller one runs the same chunk loop on the caller alone. An
+    * exception thrown in a lane is rethrown here, after the sweep.
     */
-  def advanceAll(walks: WalkBuffer, mem: Residency): Unit = {
+  def advanceAll(walks: WalkBuffer, b: Int, rule: Int, marks: Boolean): Unit = {
     val chunks = (walks.length + Chunk - 1) / Chunk
-    sweep = walks
-    sweepMem = mem
+    sweepWalks = walks
+    sweepBlock = b
+    sweepRule = rule
+    sweepMarks = marks
     completed.set(0)
     unclaimed.set(chunks)
     val shared = walks.length >= ParallelMin && Lanes.acquire(this)
     runChunks(0)
     while (completed.get < chunks) Thread.onSpinWait()
     if (shared) Lanes.release()
-    merge(mem)
+    merge(marks)
     val e = failure.getAndSet(null)
     if (e != null) throw e
   }
+
+  /** Walks that entered bucket `i` in the last sweep: those that started in
+    * it and those bucket-extending moved into it.
+    */
+  def arrivals(i: Int): Int = total(Fields * i + Arrivals).toInt
+
+  /** Walks of the last sweep that left memory from bucket `i`. */
+  def survivors(i: Int): Int = total(Fields * i + Survivors).toInt
+
+  /** Vertices of block `i` that a walk of bucket `i` activated (its
+    * previous or current vertex on arrival) or stepped from in the last
+    * sweep, if it marked them.
+    */
+  def touched(i: Int): Int = total(Fields * i + Touched).toInt
+
+  /** Charge the steps and neighbour work of bucket `i` of the last sweep. */
+  def chargeSteps(i: Int): Unit = sim.chargeSteps(total(Fields * i + Steps), total(Fields * i + Work))
 
   /** Advance chunks of the open sweep as lane `l` until none is left. */
   private[engine] def runChunks(l: Int): Unit = {
     var c = claim()
     while (c >= 0) {
-      try advanceChunk(lanes(l), c)
+      try sweepChunk(lanes(l), c)
       catch { case e: Throwable => failure.compareAndSet(null, e) }
       completed.incrementAndGet()
       c = claim()
@@ -388,13 +454,15 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     n - 1
   }
 
-  private def advanceChunk(lane: Lane, c: Int): Unit = {
-    val walks = sweep
-    val mem = sweepMem
+  private def sweepChunk(lane: Lane, c: Int): Unit = {
+    val walks = sweepWalks
+    val b = sweepBlock
+    val rule = sweepRule
+    if (sweepMarks && lane.marks == null) lane.marks = new Array[Long]((g.nV + 63) >>> 6)
+    val marks = if (sweepMarks) lane.marks else null
     if (visits != null && lane.visits == null) lane.visits = new Array[Long](g.nV)
     val seen = lane.visits
-    var steps = 0L
-    var work = 0L
+    val counts = lane.counts
     var k = c * Chunk
     val end = math.min(walks.length, k + Chunk)
     while (k < end) {
@@ -402,53 +470,114 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
       var prev = walks.prev(k)
       var cur = walks.cur(k)
       var hop = walks.hop(k)
+      var cb = bg.blockOf(cur)
+      var pb = if (rule == Fixed) b else bg.blockOf(prev)
+      var i = if (rule == Fixed || pb != b) pb else cb
       var live = true
-      while (live && mem.holds(bg.blockOf(cur))) {
-        if (mem.misses(cur)) {
-          if (lane.marks == null) lane.marks = new java.util.BitSet(g.nV)
-          lane.marks.set(cur)
+      var moving = true
+      while (moving) {
+        counts(Fields * i + Arrivals) += 1
+        if (marks != null) {
+          val lo = bg.blockStart(i)
+          val hi = bg.blockStart(i + 1)
+          if (prev >= lo && prev < hi) mark(marks, prev)
+          if (cur >= lo && cur < hi) mark(marks, cur)
         }
-        steps += 1
-        if (secondOrder && prev >= 0) work += g.degree(cur)
-        val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
-        if (z < 0) live = false
-        else {
-          prev = cur
-          cur = z
-          hop += 1
-          if (seen != null) seen(z) += 1
-          if (trace != null) {
-            if (lane.logged == lane.log.length) lane.log = java.util.Arrays.copyOf(lane.log, math.max(LogWords, 2 * lane.logged))
-            lane.log(lane.logged) = TraceCollector.word(id, z)
-            lane.logged += 1
+        var steps = 0L
+        var work = 0L
+        while (live && (cb == b || cb == i)) {
+          if (marks != null && cb == i) mark(marks, cur)
+          steps += 1
+          if (secondOrder && prev >= 0) work += g.degree(cur)
+          val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
+          if (z < 0) live = false
+          else {
+            prev = cur
+            cur = z
+            pb = cb
+            cb = bg.blockOf(z)
+            hop += 1
+            if (seen != null) seen(z) += 1
+            if (trace != null) {
+              if (lane.log == null || lane.logged == lane.log.length) lane.nextLog()
+              lane.log(lane.logged) = TraceCollector.word(id, z)
+              lane.logged += 1
+            }
+            live = !task.stopsAfter(id, hop)
           }
-          live = !task.stopsAfter(id, hop)
         }
+        counts(Fields * i + Steps) += steps
+        counts(Fields * i + Work) += work
+        // Bucket-extending (Alg. 2 l.14): a walk that stepped from b into a
+        // block j beyond i goes on in bucket j.
+        if (live && rule == Extending && pb == b && cb > i) i = cb
+        else moving = false
       }
-      if (live) walks.update(k, hop, prev, cur) else walks.end(k)
+      if (live) {
+        counts(Fields * i + Survivors) += 1
+        walks.update(k, hop, prev, cur)
+      } else walks.end(k)
       k += 1
     }
-    lane.steps += steps
-    lane.neighborWork += work
   }
 
-  /** Charge and log what the lanes recorded in the last sweep, in lane order. */
-  private def merge(mem: Residency): Unit = {
-    var l = 0
-    while (l < lanes.length) {
-      val lane = lanes(l)
-      sim.chargeSteps(lane.steps, lane.neighborWork)
-      lane.steps = 0
-      lane.neighborWork = 0
-      if (trace != null) trace.appendAll(lane.log, lane.logged)
-      lane.logged = 0
-      if (lane.marks != null) {
-        var v = lane.marks.nextSetBit(0)
-        while (v >= 0) { mem.touch(v); v = lane.marks.nextSetBit(v + 1) }
-        lane.marks.clear()
-      }
-      l += 1
+  /** Sum the lanes' counts in lane order, count and clear the vertices they
+    * marked in each bucket with arrivals, and hand the lanes' trace words to
+    * the corpus.
+    */
+  private def merge(marked: Boolean): Unit = {
+    var j = 0
+    while (j < total.length) {
+      var sum = 0L
+      var l = 0
+      while (l < lanes.length) { sum += lanes(l).counts(j); lanes(l).counts(j) = 0; l += 1 }
+      total(j) = sum
+      j += 1
     }
+    var i = 0
+    while (i < nB) {
+      if (marked && arrivals(i) > 0)
+        total(Fields * i + Touched) = takeMarks(bg.blockStart(i), bg.blockStart(i + 1))
+      i += 1
+    }
+    if (trace != null) {
+      var l = 0
+      while (l < lanes.length) {
+        val lane = lanes(l)
+        var from = lane.logFrom
+        var f = 0
+        while (f < lane.filled.length) {
+          trace.appendSegment(lane.filled(f), from, lane.filled(f).length)
+          from = 0
+          f += 1
+        }
+        lane.filled.clear()
+        if (lane.log != null) trace.appendSegment(lane.log, from, lane.logged)
+        lane.logFrom = lane.logged
+        l += 1
+      }
+    }
+  }
+
+  /** Count the vertices in `lo until hi` that any lane marked, and unmark them. */
+  private def takeMarks(lo: Int, hi: Int): Int = {
+    var n = 0
+    var w = lo >>> 6
+    while (w << 6 < hi) {
+      var bits = -1L
+      if (w == lo >>> 6) bits &= -1L << lo
+      if (w == (hi - 1) >>> 6) bits &= -1L >>> (63 - ((hi - 1) & 63))
+      var x = 0L
+      var l = 0
+      while (l < lanes.length) {
+        val m = lanes(l).marks
+        if (m != null) { x |= m(w) & bits; m(w) &= ~bits }
+        l += 1
+      }
+      n += java.lang.Long.bitCount(x)
+      w += 1
+    }
+    n
   }
 
   /** End the run: add the lanes' visits, seal the corpus and return the
@@ -472,6 +601,31 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
 }
 
 object Walker {
+  /** Bucket rule: every walk is in bucket `b` and steps while its current
+    * block is `b` (Init, SOGW/SGSC, first-order).
+    */
+  final val Fixed = 0
+
+  /** Bucket rule: a walk's bucket is the other block of its (previous,
+    * current) pair (Eq. 4), and it steps while its current block is `b` or
+    * that block (PB).
+    */
+  final val Pairs = 1
+
+  /** `Pairs` with bucket-extending (Alg. 2 l.14): a walk that steps from `b`
+    * into a block beyond its bucket's goes on in that block's bucket (the
+    * bi-block engine).
+    */
+  final val Extending = 2
+
+  // The counts of bucket i are counts(Fields * i + field).
+  private final val Arrivals = 0
+  private final val Steps = 1
+  private final val Work = 2
+  private final val Survivors = 3
+  private final val Touched = 4 // summed only, set by `merge`
+  private final val Fields = 5
+
   /** Records a lane claims at a time. */
   private final val Chunk = 12
 
@@ -480,6 +634,8 @@ object Walker {
 
   /** A lane's first trace log. */
   private final val LogWords = 1 << 10
+
+  @inline private def mark(marks: Array[Long], v: Int): Unit = marks(v >>> 6) |= 1L << v
 }
 
 /** Walk initialization (paper Appendix B): iterate the blocks once
@@ -490,16 +646,13 @@ object Walker {
   */
 object Init {
 
-  /** Where a surviving walk goes: record `k` of `walks`, valid during the call. */
-  trait Persist { def apply(walks: WalkBuffer, k: Int): Unit }
-
   /** Walks started per sweep, which bounds the start buffer on any task. */
   private final val Batch = 1 << 16
 
   /** Runs initialization, invoking `persist(walks, k)` for every surviving
     * walk (its current vertex is outside its source block), in walk id order.
     */
-  def run(walker: Walker)(persist: Persist): Unit = {
+  def run(walker: Walker)(persist: WalkBuffer.Persist): Unit = {
     val bg = walker.bg
     val sim = walker.sim
     val starts = walker.task.starts
@@ -530,14 +683,10 @@ object Init {
     for (b <- 0 until bg.nBlocks if first(b) < first(b + 1)) {
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       sim.timeSlots += 1
-      val source = new Residency { def holds(block: Int): Boolean = block == b }
       def sweep(): Unit = {
-        walker.advanceAll(fresh, source)
-        var k = 0
-        while (k < fresh.length) {
-          if (!fresh.ended(k)) persist(fresh, k)
-          k += 1
-        }
+        walker.advanceAll(fresh, b, Walker.Fixed, marks = false)
+        walker.chargeSteps(b)
+        fresh.persistSurvivors(persist)
         fresh.clear()
       }
       var o = first(b)

@@ -13,16 +13,17 @@ import repro.walk.WalkTask
   *
   * All engines charge I/O and execution to the supplied [[DiskSim]] and
   * start and advance walks through one [[Walker]], so trajectories are
-  * engine-invariant; an engine differs only in its [[Residency]]: which
-  * blocks are in memory and what I/O a step costs to reach its vertices.
-  * The bi-block, PB and first-order engines get theirs from
-  * `BlockLoading.load`, the one call that picks a block's load mode from
-  * η, charges the load and logs its LBL sample; SOGW/SGSC charge their
-  * previous-vertex I/Os themselves.
+  * engine-invariant; an engine differs in which blocks it holds while a walk
+  * steps (the bucket rule of `Walker.advanceAll`) and what it charges for
+  * them. The bi-block, PB and first-order engines charge each block load
+  * through `BlockLoading.load`, the one call that picks a block's load mode
+  * from η and charges it; SOGW/SGSC charge their previous-vertex I/Os
+  * themselves.
   * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advanceAll` steps
-  * every record of a buffer in place, spread over the [[Lanes]], and marks
-  * the walks that ended; the engine then copies each live record, in record
-  * order, into the pool or bucket its rule names. Lanes share no state: each
+  * every record of a time slot's buffer in place, spread over the
+  * [[Lanes]], tallies per bucket what the engine charges afterwards, and
+  * marks the walks that ended; the engine then copies each live record, in
+  * record order, into the pool its rule names. Lanes share no state: each
   * counts, logs and marks into its own buffers, merged in lane order, so a
   * run's counts, corpus and visits are the single-threaded ones whatever
   * lane takes a walk. Every engine runs on one current-block loop, the

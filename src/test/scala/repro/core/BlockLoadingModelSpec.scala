@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.{CostModel, DiskSim}
-import repro.engine.WalkBuffer
+import repro.engine.{TraceCollector, WalkBuffer, Walker}
 import repro.engine.TestWalks.{walk, walks}
+import repro.walk.{DeepWalkModel, WalkTask}
 
 class BlockLoadingModelSpec extends AnyFunSuite {
   private val g = TestGraphs.ring(40)
@@ -70,12 +71,16 @@ class BlockLoadingModelSpec extends AnyFunSuite {
 
   // ---- loading ---------------------------------------------------------
 
+  /** Distinct vertices of block `i` that `ws`'s records hold as previous or
+    * current vertex: what their on-demand load activates.
+    */
+  private def activated(i: Int, ws: WalkBuffer): Int =
+    (0 until ws.length).flatMap(k => Seq(ws.prev(k), ws.cur(k))).filter(v => v >= 0 && bg.blockOf(v) == i).distinct.size
+
   test("full load charges one block read, touch is free") {
     val s = sim()
-    val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysFull, new WalkBuffer, s)
+    BlockLoading.load(bg, 1, BlockLoading.AlwaysFull, walks = 0, touched = 1, s)
     assert(s.blockIOCount == 1 && s.vertexIOCount == 0)
-    a.touch(12)
-    assert(s.vertexIOCount == 0)
   }
 
   test("on-demand load charges one light I/O per distinct activated vertex") {
@@ -85,26 +90,32 @@ class BlockLoadingModelSpec extends AnyFunSuite {
       walk(1, prev = 13, cur = 25, hop = 2), // prev in block 1
       walk(2, prev = 12, cur = 30, hop = 2), // prev 12 again: deduplicated
     )
-    BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysOnDemand, ws, s)
+    BlockLoading.load(bg, 1, BlockLoading.AlwaysOnDemand, ws.length, activated(1, ws), s)
     assert(s.blockIOCount == 0)
     assert(s.vertexIOCount == 2) // {12, 13}
   }
 
   test("on-demand touch charges a miss once, then is resident") {
+    // DeepWalk walks from vertex 12 swept in block 1: the load reads each
+    // vertex of block 1 they start at or step from once, however often.
+    val task = WalkTask("touch", DeepWalkModel, Array((12, 3)), maxLen = 30, stopProb = 0.0, seed = 5)
     val s = sim()
-    val a = BlockLoading.load(bg, 1, 1, BlockLoading.AlwaysOnDemand,
-                              walk(0, prev = 5, cur = 12, hop = 2), s)
-    val before = s.vertexIOCount
-    a.touch(14); a.touch(14)
-    assert(s.vertexIOCount == before + 1)
-    a.touch(12) // activated at load time: already resident
-    assert(s.vertexIOCount == before + 1)
+    val trace = new TraceCollector(3)
+    val walker = new Walker(bg, task, s, null, trace)
+    val ws = new WalkBuffer
+    for (id <- 0L until 3L) walker.start(id, 12, ws)
+    walker.advanceAll(ws, 1, Walker.Fixed, marks = true)
+    walker.finish()
+    val read = (0 until 3).flatMap(w => trace.path(w).init).toSet
+    assert(read.contains(12) && read.forall(bg.blockOf(_) == 1))
+    assert((0 until 3).map(trace.length).sum - 3 > read.size) // some vertex is stepped from twice
+    BlockLoading.load(bg, 1, BlockLoading.AlwaysOnDemand, walker.arrivals(1), walker.touched(1), s)
+    assert(s.vertexIOCount == read.size)
   }
 
   test("on-demand with no activated vertices charges nothing") {
     val s = sim()
-    BlockLoading.load(bg, 2, 2, BlockLoading.AlwaysOnDemand,
-                      walk(0, prev = 1, cur = 12, hop = 2), s)
+    BlockLoading.load(bg, 2, BlockLoading.AlwaysOnDemand, 1, activated(2, walk(0, prev = 1, cur = 12, hop = 2)), s)
     assert(s.vertexIOCount == 0 && s.blockIOCount == 0)
   }
 

@@ -105,8 +105,8 @@ class BaselineEnginesSpec extends AnyFunSuite {
 
   /** (block I/Os, sequential block I/Os, vertex I/Os, steps, time slots,
     * supersteps) of one run. Each engine differs from the others only in
-    * its Residency, so a charge that moves between engines' `touch`
-    * changes one of the pinned rows below.
+    * the blocks it holds and what it charges for them, so a charge that
+    * moves between engines changes one of the pinned rows below.
     */
   private def ioCounts(e: WalkEngine, task: WalkTask) = {
     val m = runTraced(e, bg, task).m

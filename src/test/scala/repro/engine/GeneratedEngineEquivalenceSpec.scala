@@ -5,7 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.BiBlockEngine
+import repro.core.{BiBlockEngine, BlockLoading, BucketByBucketBiBlock, LoadLogCollector}
 import repro.graph.{BlockedGraph, CsrGraph}
 import repro.walk.WalkTask
 import EngineTestKit._
@@ -66,6 +66,34 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
             s"${e.name}: ${m.timeSlots} time slots in ${m.supersteps} supersteps")
       }
       Prop.all(agree ++ bounds: _*)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  test("the bi-block engine's metrics and LBL samples equal the bucket-by-bucket reference's, in any bucket order") {
+    val prop = Prop.forAllNoShrink(inputs) { in =>
+      val bg = BlockedGraph.sequential(in.g, in.nBlocks)
+      // A learned policy that loads every third block in full, the next
+      // on demand, and the third by η, so one run takes both modes.
+      val learned = new BlockLoading.Learned(Array.tabulate(bg.nBlocks)(i =>
+        Seq(0.0, Double.PositiveInfinity, 0.5)(i % 3)))
+      val checks = Seq(BlockLoading.AlwaysFull, BlockLoading.AlwaysOnDemand, learned).flatMap { policy =>
+        def run(engine: LoadLogCollector => WalkEngine) = {
+          val log = new LoadLogCollector
+          val r = runTraced(engine(log), bg, in.task)
+          (r.m, log.samples.toList, corpus(r.trace), r.visits.toSeq)
+        }
+        val swept = run(new BiBlockEngine(policy, _))
+        val reference = run(new BucketByBucketBiBlock(policy, _))
+        val permuted = run(new BucketByBucketBiBlock(policy, _, permuteSeed = Some(in.task.seed)))
+        Seq(
+          (swept == reference) :| s"$policy: BiBlock ${swept._1} ${swept._2} vs reference ${reference._1} ${reference._2}",
+          (permuted == reference) :| s"$policy: permuted ${permuted._1} ${permuted._2} vs reference ${reference._1} ${reference._2}",
+        )
+      }
+      Prop.all(checks: _*)
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
     val result = Test.check(params, prop)
