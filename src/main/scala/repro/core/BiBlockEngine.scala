@@ -25,8 +25,9 @@ import repro.walk.WalkTask
   * i, and its current block is neither. If it moved from b to a block j
   * beyond i, it goes on at once in bucket j (bucket-extending, line 14).
   * Every other case (cur < b; b < cur < i from either block; cur > i from
-  * i) stops it, and after the sweep it goes to pool min(B(pre), B(cur)) —
-  * b, cur or i — with one walk I/O, which is `SkewedWalkStorage.persist`.
+  * i) stops it, and the lane that stepped it appends it to its own part of
+  * pool min(B(pre), B(cur)) — b, cur or i — the skewed storage's rule
+  * (`WalkPools.home`), charged one walk I/O.
   * The ancillary blocks are then charged triangularly, `b+1 .. N_B - 1`,
   * skipping empty buckets, each through `BlockLoading.load`, which decides
   * its mode from η and charges it; with the bucket's steps and walk I/O it
@@ -51,18 +52,16 @@ final class BiBlockEngine(
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     val walker = new Walker(bg, task, sim, visits, trace)
-    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration)
-    val storage = new SkewedWalkStorage(bg, driver.pools)
-    Init.run(walker)(storage.persist)
+    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration, skewed = true)
+    Init.run(walker, driver.pools)
 
     var last = Int.MaxValue // the previous slot's current block
     driver.run { (b, walks) =>
       if (b <= last) sim.supersteps += 1
       last = b
-      // Alg. 1 l.3–l.9 and Alg. 2's UpdateWalk in one sweep, then the
-      // survivors go to their home pools in record order.
+      // Alg. 1 l.3–l.9 and Alg. 2's UpdateWalk in one sweep; each lane
+      // routes the survivors it steps to their home pools.
       driver.sweepBuckets(b, walks, Walker.Extending, policy, loadLog)
-      walks.persistSurvivors(storage.persist)
     }
   }
 }

@@ -6,17 +6,18 @@ import repro.disk.DiskSim
 /** The current-block loop (Appendix A), shared by every engine. Each time
   * slot the strategy picks a block, the driver drains its pool, counts the
   * slot and hands `(block, walks)` to the engine's slot body, which sweeps
-  * the walks once and charges the block and walk loads. Walks are pooled by
-  * current block, or by skewed home block in the bi-block engine. One
-  * driver serves one run; the strategy's previous choice is held here.
+  * the walks once, routing each walk that leaves memory back into `pools`,
+  * and charges the block and walk loads. Walks are pooled by current block,
+  * or by skewed home block (`skewed`) in the bi-block engine. One driver
+  * serves one run; the strategy's previous choice is held here.
   */
-final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
+final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling, skewed: Boolean = false) {
   private val bg = walker.bg
   private val sim = walker.sim
-  val pools = new WalkPools(bg.nBlocks)
+  val pools = new WalkPools(bg.nBlocks, skewed)
 
   /** Run time slots until the strategy finds no walk, then `finish` the run. */
-  def run(slotBody: (Int, WalkBuffer) => Unit): DiskSim.Metrics = {
+  def run(slotBody: (Int, WalkPool) => Unit): DiskSim.Metrics = {
     var last = -1
     var slot = 0L
     var b = scheduling.choose(pools, last, slot)
@@ -32,20 +33,17 @@ final class CurrentBlockDriver(walker: Walker, scheduling: Scheduling) {
     walker.finish()
   }
 
-  /** Pool record `k` of `walks` by its current block. */
-  def add(walks: WalkBuffer, k: Int): Unit = pools.add(bg.blockOf(walks.cur(k)), walks, k)
-
-  /** A PB or bi-block slot up to the persist (Alg. 1 l.3–l.9): read the
-    * walks and block `b`, sweep the walks once under bucket rule `rule`
-    * (`Walker.Pairs` or `Walker.Extending`), then charge each bucket with
-    * walks in ascending block order, the ancillary loop. The caller persists
-    * the survivors.
+  /** A PB or bi-block slot (Alg. 1 l.3–l.9): read the walks and block `b`,
+    * sweep the walks once under bucket rule `rule` (`Walker.Pairs` or
+    * `Walker.Extending`), which routes the survivors to their pools, then
+    * charge each bucket with walks in ascending block order, the ancillary
+    * loop.
     */
-  def sweepBuckets(b: Int, walks: WalkBuffer, rule: Int, policy: BlockLoading.Policy,
+  def sweepBuckets(b: Int, walks: WalkPool, rule: Int, policy: BlockLoading.Policy,
                    log: LoadLogCollector): Unit = {
     sim.walkIO(walks.length)
     sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
-    walker.advanceAll(walks, b, rule, marks = policy ne BlockLoading.AlwaysFull)
+    walker.advanceAll(walks, b, rule, marks = policy ne BlockLoading.AlwaysFull, pools)
     var i = 0
     while (i < bg.nBlocks) {
       if (i != b && walker.arrivals(i) > 0) chargeBucket(i, policy, log, reads = 0)

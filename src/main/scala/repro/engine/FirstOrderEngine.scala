@@ -34,7 +34,7 @@ final class FirstOrderEngine(
     // source block first becomes the current block (GraphWalker behavior).
     var nextId = 0L
     task.starts.foreach { case (v, count) =>
-      val pool = driver.pools.pool(bg.blockOf(v))
+      val pool = driver.pools.pool(bg.blockOf(v)).part(0)
       var k = 0
       while (k < count) {
         walker.start(nextId, v, pool)
@@ -45,9 +45,8 @@ final class FirstOrderEngine(
 
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
     driver.run { (b, walks) =>
-      walker.advanceAll(walks, b, Walker.Fixed, marks = policy ne BlockLoading.AlwaysFull)
+      walker.advanceAll(walks, b, Walker.Fixed, marks = policy ne BlockLoading.AlwaysFull, driver.pools)
       driver.chargeBucket(b, policy, loadLog, reads = walks.length)
-      walks.persistSurvivors(driver.add)
     }
   }
 }

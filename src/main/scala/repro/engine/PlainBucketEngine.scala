@@ -18,7 +18,8 @@ import repro.walk.WalkTask
   *     loading the current block is the random block I/O that §7.3 contrasts
   *     with the triangular schedule's sequential loads), each in full;
   *   - walks advance while inside either in-memory block, in one sweep per
-  *     slot, then are written back to their new current block's pool.
+  *     slot, and each that leaves memory goes to its new current block's
+  *     pool.
   */
 final class PlainBucketEngine extends WalkEngine {
   def name: String = "PB"
@@ -27,10 +28,9 @@ final class PlainBucketEngine extends WalkEngine {
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     val walker = new Walker(bg, task, sim, visits, trace)
     val driver = new CurrentBlockDriver(walker, new Scheduling.GraphWalkerMix())
-    Init.run(walker)(driver.add)
+    Init.run(walker, driver.pools)
     driver.run { (b, walks) =>
       driver.sweepBuckets(b, walks, Walker.Pairs, BlockLoading.AlwaysFull, null)
-      walks.persistSurvivors(driver.add)
     }
   }
 }

@@ -47,7 +47,7 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
 
     val walker = new Walker(bg, task, sim, visits, trace)
     val driver = new CurrentBlockDriver(walker, new Scheduling.GraphWalkerMix())
-    Init.run(walker)(driver.add)
+    Init.run(walker, driver.pools)
 
     // Two-slot block memory: a load is free if the block is still resident.
     val resident = new java.util.ArrayDeque[Int](2)
@@ -63,21 +63,23 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       // A walk pooled at b has its previous vertex outside b only on its
       // first step of the slot, so one check per walk finds every such read.
       if (secondOrder) {
-        var k = 0
-        while (k < walks.length) {
-          val prev = walks.prev(k)
-          if (prev >= 0) {
-            val pb = bg.blockOf(prev)
-            val inMem = pb == b || resident.contains(pb) || (cached != null && cached.get(prev))
-            if (!inMem) sim.readVertices(1)
+        for (l <- 0 until walks.nParts; j <- 0 until walks.part(l).pageCount) {
+          val page = walks.part(l).page(j)
+          var k = 0
+          while (k < page.length) {
+            val prev = page.prev(k)
+            if (prev >= 0) {
+              val pb = bg.blockOf(prev)
+              val inMem = pb == b || resident.contains(pb) || (cached != null && cached.get(prev))
+              if (!inMem) sim.readVertices(1)
+            }
+            k += 1
           }
-          k += 1
         }
       }
-      walker.advanceAll(walks, b, Walker.Fixed, marks = false)
+      walker.advanceAll(walks, b, Walker.Fixed, marks = false, driver.pools)
       walker.chargeSteps(b)
       sim.walkIO(walker.survivors(b))
-      walks.persistSurvivors(driver.add)
     }
   }
 }

@@ -19,14 +19,14 @@ import repro.walk.WalkTask
   * through `BlockLoading.load`, the one call that picks a block's load mode
   * from η and charges it; SOGW/SGSC charge their previous-vertex I/Os
   * themselves.
-  * Walks are 128-bit records in [[WalkBuffer]]s: `Walker.advanceAll` steps
-  * every record of a time slot's buffer in place, spread over the
-  * [[Lanes]], tallies per bucket what the engine charges afterwards, and
-  * marks the walks that ended; the engine then copies each live record, in
-  * record order, into the pool its rule names. Lanes share no state: each
-  * counts, logs and marks into its own buffers, merged in lane order, so a
-  * run's counts, corpus and visits are the single-threaded ones whatever
-  * lane takes a walk. Every engine runs on one current-block loop, the
+  * Walks are 128-bit records in [[WalkPools]]: `Walker.advanceAll` steps
+  * every record of a time slot's pool, spread over the [[Lanes]], and
+  * tallies per bucket what the engine charges afterwards; the lane that
+  * steps a walk appends it, if it did not end, to its own part of the pool
+  * the pools' rule names. Lanes share no state: each counts, logs, marks
+  * and pools into its own buffers, and the engine reads only their sums,
+  * minima and unions, so a run's counts, corpus and visits are the
+  * single-threaded ones whatever lane takes a walk. Every engine runs on one current-block loop, the
   * [[CurrentBlockDriver]], and differs in its strategy, pool rule and slot
   * body. An engine instance keeps no state between runs.
   */

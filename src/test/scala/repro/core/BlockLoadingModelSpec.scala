@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.disk.{CostModel, DiskSim}
-import repro.engine.{TraceCollector, WalkBuffer, Walker}
+import repro.engine.{TraceCollector, WalkBuffer, WalkPools, Walker}
 import repro.engine.TestWalks.{walk, walks}
 import repro.walk.{DeepWalkModel, WalkTask}
 
@@ -102,9 +102,9 @@ class BlockLoadingModelSpec extends AnyFunSuite {
     val s = sim()
     val trace = new TraceCollector(3)
     val walker = new Walker(bg, task, s, null, trace)
-    val ws = new WalkBuffer
-    for (id <- 0L until 3L) walker.start(id, 12, ws)
-    walker.advanceAll(ws, 1, Walker.Fixed, marks = true)
+    val pools = new WalkPools(bg.nBlocks)
+    for (id <- 0L until 3L) walker.start(id, 12, pools.pool(1).part(0))
+    walker.advanceAll(pools.drain(1), 1, Walker.Fixed, marks = true, pools)
     walker.finish()
     val read = (0 until 3).flatMap(w => trace.path(w).init).toSet
     assert(read.contains(12) && read.forall(bg.blockOf(_) == 1))

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.disk.DiskSim
-import repro.engine.{CurrentBlockDriver, Init, Scheduling, TraceCollector, WalkBuffer, WalkEngine, Walker}
+import repro.engine.{CurrentBlockDriver, EngineTestKit, Init, Scheduling, TraceCollector, WalkBuffer, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -27,9 +27,8 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
     val g = bg.g
     val nB = bg.nBlocks
     val walker = new Walker(bg, task, sim, visits, trace)
-    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration)
-    val storage = new SkewedWalkStorage(bg, driver.pools)
-    Init.run(walker)(storage.persist)
+    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration, skewed = true)
+    Init.run(walker, driver.pools)
     val rng = permuteSeed.map(new scala.util.Random(_))
 
     val buckets = Array.fill(nB)(new WalkBuffer)
@@ -38,9 +37,9 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
       if (b <= last) sim.supersteps += 1
       last = b
       sim.walkIO(walks.length)
-      for (k <- 0 until walks.length) {
-        val pre = bg.blockOf(walks.prev(k))
-        buckets(if (pre == b) bg.blockOf(walks.cur(k)) else pre).addFrom(walks, k)
+      for ((id, hop, prev, cur) <- EngineTestKit.records(walks)) {
+        val pre = bg.blockOf(prev)
+        buckets(if (pre == b) bg.blockOf(cur) else pre).add(id, hop, prev, cur)
       }
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       for (i <- b + 1 until nB if buckets(i).nonEmpty) {
@@ -88,7 +87,7 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
             val cb = bg.blockOf(cur)
             bucket.update(k, hop, prev, cur)
             if (cb > i && bg.blockOf(prev) == b) buckets(cb).addFrom(bucket, k) // bucket-extending
-            else { storage.persist(bucket, k); sim.walkIO(1) }
+            else { driver.pools.add(math.min(bg.blockOf(prev), cb), bucket, k); sim.walkIO(1) } // skewed storage
           }
         }
         buckets(i).clear()

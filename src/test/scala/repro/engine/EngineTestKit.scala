@@ -41,14 +41,16 @@ object EngineTestKit {
     * pool min(B(prev), B(cur)) and never has both vertices in one block.
     */
   def checkInvariants(bg: BlockedGraph, pools: WalkPools): Unit =
-    for (b <- 0 until bg.nBlocks) {
-      val pool = pools.pool(b)
-      for (k <- 0 until pool.length) {
-        val pb = bg.blockOf(pool.prev(k)); val cb = bg.blockOf(pool.cur(k))
-        require(pb != cb, s"walk ${pool.id(k)} has prev and cur in the same block $pb")
-        require(math.min(pb, cb) == b, s"walk ${pool.id(k)} in pool $b but min($pb,$cb)")
-      }
+    for (b <- 0 until bg.nBlocks; (id, _, prev, cur) <- records(pools.pool(b))) {
+      val pb = bg.blockOf(prev); val cb = bg.blockOf(cur)
+      require(pb != cb, s"walk $id has prev and cur in the same block $pb")
+      require(math.min(pb, cb) == b, s"walk $id in pool $b but min($pb,$cb)")
     }
+
+  /** Every record of `pool` as (id, hop, prev, cur), part after part. */
+  def records(pool: WalkPool): Seq[(Long, Int, Int, Int)] =
+    for (l <- 0 until pool.nParts; j <- 0 until pool.part(l).pageCount; w = pool.part(l).page(j); k <- 0 until w.length)
+      yield (w.id(k), w.hop(k), w.prev(k), w.cur(k))
 
   /** Every trajectory of a sealed corpus, in walk order. */
   def corpus(trace: TraceCollector): Seq[Seq[Int]] = (0 until trace.nWalks).map(trace.path(_).toSeq)

@@ -13,7 +13,8 @@ import EngineTestKit._
 /** [[EngineEquivalenceSpec]] over generated inputs rather than a fixed list:
   * graph shape and size, block count and task are drawn from a fixed seed.
   * Every second-order engine must give the reference engine's corpus and
-  * visits, and the bi-block engine must keep the bounds of its schedule.
+  * visits, and the bi-block engine must keep the bounds of its schedule;
+  * every first-order engine must agree on DeepWalk.
   */
 class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
   import GeneratedEngineEquivalenceSpec.Input
@@ -31,7 +32,8 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
     case "clique" => s"clique($n)" -> TestGraphs.clique(n)
   }
 
-  private val pq: Gen[Double] = Gen.oneOf(0.25, 1.0, 4.0)
+  // 0.01 and 100 make the return or the far neighbours 100 times likelier.
+  private val pq: Gen[Double] = Gen.oneOf(0.01, 0.25, 1.0, 4.0, 100.0)
 
   private val inputs: Gen[Input] = for {
     (name, g) <- graphs
@@ -66,6 +68,29 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
             s"${e.name}: ${m.timeSlots} time slots in ${m.supersteps} supersteps")
       }
       Prop.all(agree ++ bounds: _*)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  test("first-order engines agree on DeepWalk over generated inputs") {
+    val deepwalks: Gen[Input] = for {
+      (name, g) <- graphs
+      nBlocks <- Gen.oneOf(Gen.choose(1, math.min(g.nV, 8)), Gen.choose(1, g.nV))
+      seed <- Gen.long
+      walks <- Gen.choose(1, 2)
+      len <- Gen.choose(1, 12)
+    } yield Input(name, g, nBlocks, WalkTask.deepwalk(g, walksPerVertex = walks, len = len, seed = seed))
+    val prop = Prop.forAllNoShrink(deepwalks) { in =>
+      val bg = BlockedGraph.sequential(in.g, in.nBlocks)
+      val runs = firstOrderEngines.map(e => (e, runTraced(e, bg, in.task)))
+      val (refEngine, ref) = runs.head
+      assertValidTrajectories(bg, in.task, ref.trace)
+      Prop.all(runs.tail.map { case (e, r) =>
+        (corpus(r.trace) == corpus(ref.trace) && r.visits.sameElements(ref.visits) && r.m.steps == ref.m.steps) :|
+          s"${e.name} diverged from ${refEngine.name}"
+      }: _*)
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
     val result = Test.check(params, prop)

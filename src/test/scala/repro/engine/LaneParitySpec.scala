@@ -103,6 +103,16 @@ class LaneParitySpec extends AnyFunSuite {
         assert(row(runTraced(e, bg, task)) == pinned((task.name, i)), s"${task.name} ${e.name}")
     }
 
+  for (task <- tasks)
+    test(s"${task.name}: with the lanes held by another sweep, every run on its caller alone matches the pins") {
+      // Holding the lanes makes every sweep and seal of these runs take the
+      // caller-alone path: each walk is routed to part 0 in chunk order.
+      val held = Lanes.acquire(null)
+      try for ((e, i) <- engines(task).zipWithIndex)
+        assert(row(runTraced(e, bg, task)) == pinned((task.name, i)), s"${task.name} ${e.name} on its caller alone")
+      finally if (held) Lanes.release()
+    }
+
   test("two runs on two threads at once each give their pinned rows") {
     val pool = Executors.newFixedThreadPool(2)
     try {
@@ -123,23 +133,26 @@ class LaneParitySpec extends AnyFunSuite {
     // is switched off and the copy mended.
     val broken = new CsrGraph(g.nV, g.offsets, g.neighbors.clone())
     val brokenBg = new BlockedGraph(broken, bg.blockStart)
-    def sweepBlock0(walker: Walker, fails: Boolean): WalkBuffer = {
+    val starts = new WalkPools(bg.nBlocks)
+    def sweepBlock0(walker: Walker, fails: Boolean): WalkPools = {
       for (j <- g.offsets(bad) until g.offsets(bad + 1))
         broken.neighbors(j) = if (fails) g.nV + 1 else g.neighbors(j)
-      val walks = new WalkBuffer
-      for (v <- bg.blockStart(0) until bg.blockStart(1)) walker.start(v.toLong, v, walks)
-      walker.advanceAll(walks, 0, Walker.Fixed, marks = false)
+      val walks = starts.drain(0)
+      for (v <- bg.blockStart(0) until bg.blockStart(1)) walker.start(v.toLong, v, walks.part(0))
+      val routed = new WalkPools(bg.nBlocks)
+      walker.advanceAll(walks, 0, Walker.Fixed, marks = false, routed)
       walker.chargeSteps(0)
-      walks
+      routed
     }
-    def records(w: WalkBuffer) = (0 until w.length).map(k => (w.id(k), w.hop(k), w.prev(k), w.cur(k)))
+    // The routed records as a multiset: which lane pools a walk is timing.
+    def records(p: WalkPools) = (0 until p.nBlocks).flatMap(b => EngineTestKit.records(p.pool(b))).sorted
 
     val walker = new Walker(brokenBg, task, new DiskSim(), null, null)
     val e = intercept[ArrayIndexOutOfBoundsException](sweepBlock0(walker, fails = true))
     assert(e.getMessage.contains(s"Index ${g.nV + 1} out of bounds"))
     val stepsBefore = walker.sim.steps
     val after = sweepBlock0(walker, fails = false)
-    assert(after.length >= 48)
+    assert(bg.blockStart(1) >= 48) // a sweep worth sharing
 
     val fresh = new Walker(bg, task, new DiskSim(), null, null)
     val reference = sweepBlock0(fresh, fails = false)

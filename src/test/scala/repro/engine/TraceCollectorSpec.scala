@@ -117,6 +117,79 @@ class TraceCollectorSpec extends AnyFunSuite {
     assert((0 until 3).forall(unlogged.length(_) == 0))
   }
 
+  test("the range seal gives every walk its words for corpora of any size") {
+    // Ranges are 2^k walks, at most 16: 16 and 17 walks straddle ranges of
+    // one and two, 255 and 257 of 16 and 32, and 1000 is no multiple.
+    for (n <- Seq(0, 1, 2, 15, 16, 17, 31, 32, 33, 255, 256, 257, 1000, 4099)) {
+      val rng = new Random(n)
+      val walks = IndexedSeq.tabulate(n)(w => IndexedSeq.fill(w % 7)(rng.nextInt(Int.MaxValue)))
+      val t = logged(walks, seed = n + 1)
+      assert(t.ranges >= 1 && t.ranges <= 16 && (n <= 16 || t.ranges > 8), s"$n walks in ${t.ranges} ranges")
+      assert(n == 0 || t.rangeOf(n - 1L) == t.ranges - 1)
+      assertCorpus(t, walks)
+    }
+  }
+
+  test("a walk's words keep their order when they arrive in segments from several lanes and sweeps") {
+    val rng = new Random(12)
+    val n = 1000
+    val walks = IndexedSeq.tabulate(n)(w => IndexedSeq.fill(1 + rng.nextInt(60))(rng.nextInt(Int.MaxValue)))
+    val t = new TraceCollector(n)
+    val next = new Array[Int](n)
+    // Four lanes with a log per range; each sweep takes each walk, on a
+    // random lane, a few steps on; the collector's own words are the starts.
+    val lanes = Array.fill(4, t.ranges)(new TraceLog)
+    for (w <- 0 until n) { t.start(w.toLong, walks(w)(0)); next(w) = 1 }
+    var sweeps = 0
+    while (next.indices.exists(w => next(w) < walks(w).length)) {
+      for (w <- rng.shuffle(next.indices.toVector) if next(w) < walks(w).length) {
+        val log = lanes(rng.nextInt(4))(t.rangeOf(w.toLong))
+        val to = math.min(walks(w).length, next(w) + 1 + rng.nextInt(3))
+        while (next(w) < to) { log.add(TraceCollector.word(w.toLong, walks(w)(next(w)))); next(w) += 1 }
+      }
+      for (lane <- lanes; r <- 0 until t.ranges) t.take(r, lane(r))
+      sweeps += 1
+    }
+    assert(sweeps > 10 && walks.map(_.length).sum > 4 * TraceCollector.ChunkSize)
+    // The ranges may be sorted in any order, each once, before the corpus is published.
+    val ranges = t.beginSeal()
+    for (r <- rng.shuffle((0 until ranges).toVector)) t.sealRange(r)
+    t.endSeal()
+    assertCorpus(t, walks)
+  }
+
+  test("the corpus cannot be read while it is sealed, and no lane words are taken after") {
+    val t = new TraceCollector(40)
+    val log = new TraceLog
+    t.start(33L, 1); log.add(TraceCollector.word(33L, 2))
+    t.take(t.rangeOf(33L), log)
+    assert(t.beginSeal() == t.ranges)
+    for (r <- 0 until t.ranges) t.sealRange(r)
+    intercept[IllegalStateException](t.path(33))
+    t.endSeal()
+    assert(t.beginSeal() == 0) // sealed once
+    assert(t.path(33).toSeq == Seq(1, 2))
+    log.add(TraceCollector.word(33L, 3))
+    val e = intercept[IllegalStateException](t.take(t.rangeOf(33L), log))
+    assert(e.getMessage.contains("sealed"))
+  }
+
+  test("an id outside the corpus fails its range's sort, from the collector or a lane") {
+    for (n <- Seq(3, 40, 1000); bad <- Seq(n.toLong, n + 100L)) {
+      val t = new TraceCollector(n)
+      t.start(0L, 5)
+      t.start(bad, 7)
+      val e = intercept[IllegalStateException](t.seal())
+      assert(e.getMessage == s"walk $bad logged in a corpus of $n walks")
+      val u = new TraceCollector(n)
+      val log = new TraceLog
+      log.add(TraceCollector.word(bad, 7))
+      u.take(u.rangeOf(bad), log)
+      val f = intercept[IllegalStateException](u.seal())
+      assert(f.getMessage == s"walk $bad logged in a corpus of $n walks")
+    }
+  }
+
   test("a collector must hold every walk of the task") {
     assertThrows[IllegalArgumentException](new TraceCollector(-1))
     val bg = TestGraphs.blocked(TestGraphs.ring(10), 2)
