@@ -6,7 +6,7 @@ import repro.disk.DiskSim
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
-/** A growable buffer of walks, each a packed 128-bit record (§6.1) in two
+/** A fixed-size page of walks, each a packed 128-bit record (§6.1) in two
   * consecutive words of one `Array[Long]`:
   *
   *   word 0 = | walk id (40) | hop (24) |
@@ -15,82 +15,48 @@ import repro.walk.WalkTask
   * `hop` counts completed steps; `prev == -1` until the first step (the
   * first transition of every model is first-order, §2.1). A record is the
   * 16 bytes per walk that the engines charge on every pool read/write
-  * (`CostModel.walkBytes`). A buffer starts with room for `initialWalks`
-  * records and doubles when full; pools keep theirs as fixed-size pages
-  * ([[WalkPart]]). Buffers are cleared and refilled, never shrunk. A buffer
-  * holds at most `MaxRecords` records.
+  * (`CostModel.walkBytes`). A page holds at most `capacity` records; pools
+  * keep theirs in pages ([[WalkPart]]), which are cleared and refilled,
+  * never grown.
   */
-final class WalkBuffer(initialWalks: Int = WalkBuffer.InitialWalks) {
+final class WalkBuffer(capacity: Int) {
   import WalkBuffer._
 
-  private var words = new Array[Long](2 * initialWalks)
+  private val words = new Array[Long](2 * capacity)
   private var n = 0
   private var lowestHop = Int.MaxValue
 
   def length: Int = n
-  def isEmpty: Boolean = n == 0
-  def nonEmpty: Boolean = n != 0
 
   @inline def id(k: Int): Long = words(2 * k) >>> HopBits
   @inline def hop(k: Int): Int = (words(2 * k) & HopMask).toInt
   @inline def prev(k: Int): Int = (words(2 * k + 1) >> 32).toInt
   @inline def cur(k: Int): Int = words(2 * k + 1).toInt
 
-  /** Smallest hop among the records appended since the last `clear`
-    * (Int.MaxValue when none). `update` does not lower it, so it is exact
-    * for a buffer that is only appended to and cleared whole — a pool page.
+  /** Smallest hop among the records added since the last `clear`
+    * (Int.MaxValue when none).
     */
   def minHop: Int = lowestHop
 
-  def add(id: Long, hop: Int, prev: Int, cur: Int): Unit =
-    append(pack0(id, hop), pack1(prev, cur))
-
-  /** Append a copy of record `k` of `from`. */
-  def addFrom(from: WalkBuffer, k: Int): Unit =
-    append(from.words(2 * k), from.words(2 * k + 1))
-
-  /** Overwrite the hop and vertices of record `k`, keeping its id. */
-  def update(k: Int, hop: Int, prev: Int, cur: Int): Unit = {
-    words(2 * k) = pack0(id(k), hop)
-    words(2 * k + 1) = pack1(prev, cur)
+  def add(id: Long, hop: Int, prev: Int, cur: Int): Unit = {
+    words(2 * n) = id << HopBits | hop
+    words(2 * n + 1) = prev.toLong << 32 | (cur & 0xffffffffL)
+    n += 1
+    if (hop < lowestHop) lowestHop = hop
   }
 
   def clear(): Unit = { n = 0; lowestHop = Int.MaxValue }
-
-  private def append(w0: Long, w1: Long): Unit = {
-    if (2 * n == words.length) words = java.util.Arrays.copyOf(words, grown(words.length))
-    words(2 * n) = w0
-    words(2 * n + 1) = w1
-    n += 1
-    val h = (w0 & HopMask).toInt
-    if (h < lowestHop) lowestHop = h
-  }
 }
 
 object WalkBuffer {
   private final val HopBits = 24
   private final val HopMask = (1L << HopBits) - 1
-  private[engine] final val InitialWalks = 16
 
   /** Walk ids are 40 bits: at most 2^40 walks per task. */
   final val MaxWalks: Long = 1L << (64 - HopBits)
 
   /** Hops are 24 bits: `maxLen` must stay below 2^24. */
   final val MaxLen: Int = 1 << HopBits
-
-  /** Records a buffer can hold: their words fill an array of 2^30 longs,
-    * and doubling it once more overflows `Int`.
-    */
-  final val MaxRecords: Int = 1 << 29
-
-  /** The word count a full buffer of `words` words grows to. */
-  private[engine] def grown(words: Int): Int = {
-    require(words < 2 * MaxRecords, s"a walk buffer holds at most $MaxRecords records")
-    2 * words
-  }
-
-  @inline private def pack0(id: Long, hop: Int): Long = id << HopBits | hop
-  @inline private def pack1(prev: Int, cur: Int): Long = prev.toLong << 32 | (cur & 0xffffffffL)
 }
 
 /** One lane's part of a pool: its records in pages of `PageWalks`, each
@@ -201,10 +167,6 @@ final class WalkPools(val nBlocks: Int, skewed: Boolean = false) {
     */
   @inline def home(pb: Int, cb: Int): Int = if (skewed) math.min(pb, cb) else cb
 
-  /** Append a copy of record `k` of `from` to pool `b`. */
-  def add(b: Int, from: WalkBuffer, k: Int): Unit =
-    pools(b).part(0).add(from.id(k), from.hop(k), from.prev(k), from.cur(k))
-
   def isEmpty: Boolean = {
     var b = 0
     while (b < nBlocks && pools(b).isEmpty) b += 1
@@ -226,267 +188,83 @@ final class WalkPools(val nBlocks: Int, skewed: Boolean = false) {
   }
 }
 
-/** An append-only log of trace words, each `TraceCollector.word(id,
-  * vertex)`, in arrays of `TraceCollector.ChunkSize` words. Its words from
-  * `from` on (the rest of `filled`'s first array, then `filled`, then `words`
-  * up to `pos`) are not in the corpus yet; `TraceCollector.take` hands them
-  * over as segments of these arrays, without a copy, and a log never
-  * rewrites a word.
-  */
-private[engine] final class TraceLog {
-  private[engine] var words: Array[Long] = null
-  private[engine] var pos = 0
-  private[engine] var from = 0
-  private[engine] var filled: ArrayBuffer[Array[Long]] = null
-
-  def add(w: Long): Unit = {
-    if (words == null || pos == words.length) next()
-    words(pos) = w
-    pos += 1
-  }
-
-  private def next(): Unit = {
-    if (words != null) {
-      if (filled == null) filled = new ArrayBuffer[Array[Long]]
-      filled += words
-    }
-    words = new Array[Long](TraceCollector.ChunkSize)
-    pos = 0
-  }
-}
-
 /** The walk corpus: the full trajectory of every walk of a task, the output
-  * of RWNV and DeepWalk (§7.1). Pass one to `WalkEngine.run`.
+  * of RWNV and DeepWalk (§7.1). Pass one to `WalkEngine.run`; a collector
+  * records one run.
   *
-  * Walk ids are split into `ranges` ranges of 2^k ids, at most `MaxRanges`,
-  * and each range is logged and sorted on its own. During the run
-  * `start`/`step` append one word `id << 32 | vertex` to the range's own
-  * [[TraceLog]]; after each sweep `Walker` hands over the words each lane
-  * logged in each range (`take`), which the collector keeps as segments of
-  * the lanes' arrays. `seal` (run by `Walker.finish` before `run` returns,
-  * one range per lane chunk) sorts each range, segment after segment, by
-  * walk id with one stable counting sort into its slice of a walk-major
-  * corpus: walk `w` is `vertices(offsets(w) until offsets(w + 1))`. A walk's
-  * vertices are logged in time order, so the sort keeps them in hop order.
-  * Reading the corpus before `seal`, or appending after it, throws
-  * IllegalStateException.
+  * The corpus is walk-major, one slot of `maxLen + 1` vertices per walk:
+  * walk `w`'s vertex after `h` steps is `vertices(w * (maxLen + 1) + h)`,
+  * and `lengths(w)` is the number of vertices it took. The collector
+  * allocates nothing until `new Walker` binds it to its task's `maxLen`.
+  * During the run the lane that starts or steps a walk writes each vertex
+  * into the walk's own slot (`put`) and its length once it ends (`end`); a
+  * walk is stepped by one lane per sweep, so no two threads write one slot.
+  * `Walker.finish` seals the corpus before `run` returns. Reading it before
+  * the seal, or binding it to a second run, throws IllegalStateException.
   */
 final class TraceCollector(val nWalks: Int) {
-  import TraceCollector._
   require(nWalks >= 0, s"a corpus of $nWalks walks")
 
-  // Range r holds walks r << shift until min(nWalks, (r + 1) << shift).
-  private val shift = {
-    var s = 0
-    while ((nWalks - 1L) >> s >= MaxRanges) s += 1
-    s
-  }
-
-  /** Walk-id ranges, at least one. */
-  private[engine] val ranges: Int = if (nWalks == 0) 1 else ((nWalks - 1) >> shift) + 1
-
-  /** The range of walk `id`; ids outside the corpus fall in the last, whose
-    * sort rejects them.
-    */
-  @inline private[engine] def rangeOf(id: Long): Int = math.min(id >>> shift, ranges - 1L).toInt
-
-  /** One range's log: segment s is words(s)(from(s) until to(s)). */
-  private final class Segments {
-    var words = new Array[Array[Long]](4)
-    var from = new Array[Int](4)
-    var to = new Array[Int](4)
-    var n = 0
-    var logged = 0L
-    var own: TraceLog = null // `start`/`step`'s words in this range
-
-    def add(ws: Array[Long], f: Int, t: Int): Unit = {
-      if (n == words.length) {
-        words = java.util.Arrays.copyOf(words, 2 * n)
-        from = java.util.Arrays.copyOf(from, 2 * n)
-        to = java.util.Arrays.copyOf(to, 2 * n)
-      }
-      words(n) = ws
-      from(n) = f
-      to(n) = t
-      n += 1
-      logged += t - f
-    }
-  }
-
-  private var segments = Array.fill(ranges)(new Segments)
-  private var logged = 0L // words in segments, over all ranges
-  private var sealing = false
-
-  // The corpus, published by `endSeal`; filled by `sealRange`.
-  private var offsets: Array[Int] = null
+  private var stride = 0 // maxLen + 1, once bound
   private var vertices: Array[Int] = null
-  private var sealOffsets: Array[Int] = null
-  private var sealVertices: Array[Int] = null
-  private var base: Array[Int] = null // range r's first index in `vertices`
+  private var lengths: Array[Int] = null
+  private var complete = false
 
-  def start(id: Long, src: Int): Unit = append(id, src)
-  def step(id: Long, v: Int): Unit = append(id, v)
-
-  private def append(id: Long, v: Int): Unit = {
-    if (sealing) throw new IllegalStateException("the corpus is sealed: a TraceCollector records one run")
-    val seg = segments(rangeOf(id))
-    if (seg.own == null) seg.own = new TraceLog
-    seg.own.add(word(id, v))
-  }
-
-  /** Append the words `log` holds for range `r` and has not handed over yet
-    * as segments of range `r`, after those `start`/`step` logged there. The
-    * caller must not rewrite them.
+  /** Lay out a slot of `maxLen + 1` vertices per walk, once: a collector
+    * bound by an earlier run, or a corpus larger than an `Int` array can
+    * hold, fails before anything is allocated.
     */
-  private[engine] def take(r: Int, log: TraceLog): Unit = {
-    if (sealing) throw new IllegalStateException("the corpus is sealed: a TraceCollector records one run")
-    val seg = segments(r)
-    if (seg.own != null) takeFrom(seg, seg.own)
-    takeFrom(seg, log)
+  private[engine] def bind(maxLen: Int): Unit = {
+    if (lengths != null) throw new IllegalStateException("a TraceCollector records one run, and this one was passed to another")
+    val slots = nWalks.toLong * (maxLen + 1)
+    // The JDK's soft maximum array length.
+    require(slots <= Int.MaxValue - 8,
+      s"a corpus of $nWalks walks of up to ${maxLen + 1} vertices needs $slots slots, more than an Int array holds")
+    stride = maxLen + 1
+    lengths = new Array[Int](nWalks)
+    vertices = new Array[Int](slots.toInt)
   }
 
-  private def takeFrom(seg: Segments, log: TraceLog): Unit = {
-    var from = log.from
-    if (log.filled != null) {
-      var f = 0
-      while (f < log.filled.length) { addSegment(seg, log.filled(f), from, log.filled(f).length); from = 0; f += 1 }
-      log.filled.clear()
-    }
-    if (log.words != null) addSegment(seg, log.words, from, log.pos)
-    log.from = log.pos
-  }
+  /** Record that walk `id` is at `v` after `hop` steps. */
+  private[repro] def put(id: Long, hop: Int, v: Int): Unit = vertices(id.toInt * stride + hop) = v
 
-  private def addSegment(seg: Segments, words: Array[Long], from: Int, to: Int): Unit =
-    if (to > from) {
-      if (logged + (to - from) > MaxVertices)
-        throw new IllegalStateException(s"a corpus holds at most $MaxVertices vertices")
-      seg.add(words, from, to)
-      logged += to - from
-    }
+  /** Record that walk `id` ended after `length` vertices. */
+  private[repro] def end(id: Long, length: Int): Unit = lengths(id.toInt) = length
 
-  /** Sort the log into the walk-major corpus and drop it. Idempotent. */
-  private[engine] def seal(): Unit = {
-    val n = beginSeal()
-    var r = 0
-    while (r < n) { sealRange(r); r += 1 }
-    if (n > 0) endSeal()
-  }
+  private[engine] def seal(): Unit = complete = true
 
-  /** Close the log and lay out the corpus: returns the ranges that
-    * `sealRange` must then sort, each once, in any order and on any thread,
-    * before `endSeal`; 0 if the corpus is sealed.
-    */
-  private[engine] def beginSeal(): Int = if (offsets != null) 0 else {
-    var r = 0
-    while (r < ranges) {
-      val seg = segments(r)
-      if (seg.own != null) takeFrom(seg, seg.own)
-      r += 1
-    }
-    sealing = true
-    base = new Array[Int](ranges + 1)
-    r = 0
-    while (r < ranges) { base(r + 1) = base(r) + segments(r).logged.toInt; r += 1 }
-    sealOffsets = new Array[Int](nWalks + 1)
-    sealVertices = new Array[Int](logged.toInt)
-    ranges
-  }
-
-  /** Sort range `r` into its slice of the corpus: `offsets(lo until hi)` and
-    * `vertices(base(r) until base(r + 1))`, which no other range writes.
-    */
-  private[engine] def sealRange(r: Int): Unit = {
-    val lo = math.min(nWalks, r << shift)
-    val hi = math.min(nWalks.toLong, (r + 1L) << shift).toInt
-    val seg = segments(r)
-    val off = sealOffsets
-    val vs = sealVertices
-    var s = 0
-    while (s < seg.n) {
-      val words = seg.words(s)
-      var k = seg.from(s)
-      while (k < seg.to(s)) {
-        val id = (words(k) >>> 32).toInt
-        if (id < lo || id >= hi) throw new IllegalStateException(s"walk $id logged in a corpus of $nWalks walks")
-        off(id) += 1
-        k += 1
-      }
-      s += 1
-    }
-    // Walk w's count becomes its start, then, as the scatter's cursor, its end.
-    var at = base(r)
-    var w = lo
-    while (w < hi) { val c = off(w); off(w) = at; at += c; w += 1 }
-    s = 0
-    while (s < seg.n) {
-      val words = seg.words(s)
-      var k = seg.from(s)
-      while (k < seg.to(s)) {
-        val id = (words(k) >>> 32).toInt
-        vs(off(id)) = words(k).toInt
-        off(id) += 1
-        k += 1
-      }
-      s += 1
-    }
-    // Walk w ends where walk w + 1 starts.
-    w = hi - 1
-    while (w > lo) { off(w) = off(w - 1); w -= 1 }
-    if (hi > lo) off(lo) = base(r)
-  }
-
-  /** Publish the corpus once every range is sorted. */
-  private[engine] def endSeal(): Unit = {
-    sealOffsets(nWalks) = logged.toInt
-    segments = null
-    vertices = sealVertices
-    offsets = sealOffsets
-    sealVertices = null
-    sealOffsets = null
-  }
-
-  private def corpus: Array[Int] = {
-    if (offsets == null) throw new IllegalStateException("the corpus is read before the run sealed it")
-    offsets
+  private def sealedLengths: Array[Int] = {
+    if (!complete) throw new IllegalStateException("the corpus is read before the run sealed it")
+    lengths
   }
 
   /** Number of vertices of walk `w`: its start plus one per step. */
-  def length(w: Int): Int = { val o = corpus; o(w + 1) - o(w) }
+  def length(w: Int): Int = sealedLengths(w)
 
   /** Vertex of walk `w` after `h` steps. */
   def vertex(w: Int, h: Int): Int = {
-    val o = corpus
-    if (h < 0 || h >= o(w + 1) - o(w)) throw new IndexOutOfBoundsException(s"hop $h of walk $w")
-    vertices(o(w) + h)
+    if (h < 0 || h >= sealedLengths(w)) throw new IndexOutOfBoundsException(s"hop $h of walk $w")
+    vertices(w * stride + h)
   }
 
   /** A copy of walk `w`'s trajectory. */
-  def path(w: Int): Array[Int] = { val o = corpus; java.util.Arrays.copyOfRange(vertices, o(w), o(w + 1)) }
+  def path(w: Int): Array[Int] = {
+    val n = sealedLengths(w)
+    java.util.Arrays.copyOfRange(vertices, w * stride, w * stride + n)
+  }
 
   /** The corpus as one boxed buffer per walk, built on first read; not to be
     * modified. Kept for readers of the boxed form; prefer `path`/`vertex`.
     */
-  lazy val paths: Array[ArrayBuffer[Int]] = Array.tabulate(nWalks) { w =>
-    val o = corpus
-    val b = new ArrayBuffer[Int](o(w + 1) - o(w))
-    var i = o(w)
-    while (i < o(w + 1)) { b += vertices(i); i += 1 }
-    b
+  lazy val paths: Array[ArrayBuffer[Int]] = {
+    val n = sealedLengths
+    Array.tabulate(nWalks) { w =>
+      val b = new ArrayBuffer[Int](n(w))
+      var h = 0
+      while (h < n(w)) { b += vertices(w * stride + h); h += 1 }
+      b
+    }
   }
-}
-
-object TraceCollector {
-  /** Words per array of a trace log. */
-  private[engine] final val ChunkSize = 1 << 9
-
-  /** Walk-id ranges a corpus is logged and sorted in, at most. */
-  private final val MaxRanges = 16
-
-  /** The log word of walk `id` at vertex `v`. */
-  @inline private[engine] def word(id: Long, v: Int): Long = id << 32 | (v & 0xffffffffL)
-
-  /** Vertices a corpus can hold: at most an `Array[Int]`'s length. */
-  private final val MaxVertices: Int = Int.MaxValue / ChunkSize * ChunkSize
 }
 
 /** The one walk-step kernel: every engine starts and advances walks through
@@ -503,15 +281,14 @@ object TraceCollector {
   * steps a walk also routes it: a walk that leaves memory goes to the lane's
   * own part of its next pool, `WalkPools.home` of the blocks it stepped
   * between. Each walk is a pure function of (task seed, walk id, hop), so
-  * which lane takes it cannot change it. Lanes count, log and mark into
-  * their own state, which each allocates itself on first use; the caller
-  * merges it in lane order: tallies after each sweep, and the trace words
-  * as segments of each walk-id range of the corpus, visit counts in
-  * `finish`, which also sorts the corpus's ranges on the lanes. Sums, a set
-  * union and a multiset of pooled records do not depend on the lane or
-  * order a walk had, and a walk sits in one lane per sweep, so its logged
-  * steps stay in hop order: every count, corpus and visit vector is the one
-  * a single thread gives. Lane state is allocated once per run.
+  * which lane takes it cannot change it. Lanes count and mark into their
+  * own state, which each allocates itself on first use; the caller merges it
+  * in lane order: tallies after each sweep, visit counts in `finish`. Sums,
+  * a set union and a multiset of pooled records do not depend on the lane or
+  * order a walk had, and the corpus is written in place, each vertex into
+  * its walk's own slot by the one lane that holds the walk in a sweep:
+  * every count, corpus and visit vector is the one a single thread gives.
+  * Lane state is allocated once per run.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
@@ -522,6 +299,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     s"maxLen ${task.maxLen} does not fit a walk record's hop field (< ${WalkBuffer.MaxLen})")
   require(trace == null || trace.nWalks >= task.totalWalks,
     s"a corpus of ${trace.nWalks} walks cannot hold the task's ${task.totalWalks}")
+  if (trace != null) trace.bind(task.maxLen)
 
   private val g = bg.g
   private val model = task.model
@@ -534,23 +312,16 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   private final class Lane(var visits: Array[Long]) {
     var counts: Array[Long] = null // per bucket, see `Fields`
     var marks: Array[Long] = null // a bit per vertex
-    var logs: Array[TraceLog] = null // per walk-id range of the corpus
-
-    def log(r: Int): TraceLog = {
-      if (logs == null) logs = new Array[TraceLog](trace.ranges)
-      if (logs(r) == null) logs(r) = new TraceLog
-      logs(r)
-    }
   }
   private val lanes = Array.tabulate(Lanes.count)(l => new Lane(if (l == 0) visits else null))
   // The last sweep's counts, summed over lanes.
   private val total = new Array[Long](Fields * nB)
 
-  // The open job. The caller writes it before `claims` opens its chunks; a
+  // The open sweep. The caller writes it before `claims` opens its chunks; a
   // lane reads it only after claiming one, and the caller moves on only
   // once every chunk is `completed`.
-  private var job = Sweep
-  private var jobParts = 1
+  private var starting = false
+  private var sweepParts = 1
   private var sweepWalks: WalkPool = _
   private var sweepBlock = 0
   private var sweepRule = Fixed
@@ -568,7 +339,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   /** Append walk `id` at `src` to `into` and record its first vertex. */
   def start(id: Long, src: Int, into: WalkPart): Unit = {
     if (visits != null) visits(src) += 1
-    if (trace != null) trace.start(id, src)
+    if (trace != null) trace.put(id, 0, src)
     into.add(id, 0, -1, src)
   }
 
@@ -585,7 +356,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     */
   def advanceAll(walks: WalkPool, b: Int, rule: Int, marks: Boolean, to: WalkPools): Unit = {
     sweepWalks = walks
-    open(Sweep, walks.nParts, b, rule, marks, to)
+    open(start = false, walks.nParts, b, rule, marks, to)
     var chunks = 0
     var p = 0
     while (p < walks.nParts) {
@@ -610,17 +381,17 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     startIds = firstIds
     startFrom = from
     startTo = to
-    open(Start, 1, b, Fixed, marks = false, into)
+    open(start = true, 1, b, Fixed, marks = false, into)
     claims.set(0, chunks.toInt)
     sweep(chunks.toInt, to - from, marks = false)
   }
 
-  /** Set the open sweep's job and rule; the caller then opens its chunks in
+  /** Set the open sweep's kind and rule; the caller then opens its chunks in
     * `claims`.
     */
-  private def open(kind: Int, parts: Int, b: Int, rule: Int, marks: Boolean, to: WalkPools): Unit = {
-    job = kind
-    jobParts = parts
+  private def open(start: Boolean, parts: Int, b: Int, rule: Int, marks: Boolean, to: WalkPools): Unit = {
+    starting = start
+    sweepParts = parts
     sweepBlock = b
     sweepRule = rule
     sweepMarks = marks
@@ -628,13 +399,18 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     completed.set(0)
   }
 
-  /** Run the open sweep's `chunks` chunks, merge what the lanes recorded and
-    * rethrow an exception a lane caught.
+  /** Run the open sweep's `chunks` chunks, on every lane if its `work` is
+    * worth sharing and no other sweep holds them, merge what the lanes
+    * recorded and rethrow an exception a lane caught.
     */
   private def sweep(chunks: Int, work: Long, marks: Boolean): Unit = {
-    runJob(chunks, work)
+    val shared = work >= ParallelMin && Lanes.acquire(this)
+    runChunks(0)
+    while (completed.get < chunks) Thread.onSpinWait()
+    if (shared) Lanes.release()
     merge(marks)
-    rethrow()
+    val e = failure.getAndSet(null)
+    if (e != null) throw e
   }
 
   /** Walks that entered bucket `i` in the last sweep: those that started in
@@ -654,26 +430,11 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   /** Charge the steps and neighbour work of bucket `i` of the last sweep. */
   def chargeSteps(i: Int): Unit = sim.chargeSteps(total(Fields * i + Steps), total(Fields * i + Work))
 
-  /** Run the open job's `chunks` chunks, on every lane if its `work` is
-    * worth sharing and no other job holds them.
-    */
-  private def runJob(chunks: Int, work: Long): Unit = {
-    val shared = work >= ParallelMin && Lanes.acquire(this)
-    runChunks(0)
-    while (completed.get < chunks) Thread.onSpinWait()
-    if (shared) Lanes.release()
-  }
-
-  private def rethrow(): Unit = {
-    val e = failure.getAndSet(null)
-    if (e != null) throw e
-  }
-
-  /** Run chunks of the open job as lane `l` until none is left: those of
+  /** Run chunks of the open sweep as lane `l` until none is left: those of
     * part `l` first, then the other parts'.
     */
   private[engine] def runChunks(l: Int): Unit = {
-    val parts = jobParts
+    val parts = sweepParts
     var done = 0
     var j = 0
     while (j < parts) {
@@ -698,24 +459,22 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     n - 1
   }
 
-  private def runChunk(l: Int, p: Int, c: Int): Unit =
-    if (job == Seal) trace.sealRange(c)
+  private def runChunk(l: Int, p: Int, c: Int): Unit = {
+    val lane = lanes(l)
+    if (lane.counts == null) lane.counts = new Array[Long](Fields * nB)
+    if (sweepMarks && lane.marks == null) lane.marks = new Array[Long]((g.nV + 63) >>> 6)
+    if (visits != null && lane.visits == null) lane.visits = new Array[Long](g.nV)
+    if (starting) startChunk(lane, l, c)
     else {
-      val lane = lanes(l)
-      if (lane.counts == null) lane.counts = new Array[Long](Fields * nB)
-      if (sweepMarks && lane.marks == null) lane.marks = new Array[Long]((g.nV + 63) >>> 6)
-      if (visits != null && lane.visits == null) lane.visits = new Array[Long](g.nV)
-      if (job == Start) startChunk(lane, l, c)
-      else {
-        val walks = sweepWalks.part(p).page(c / ChunksPerPage)
-        var k = c % ChunksPerPage * Chunk
-        val end = math.min(walks.length, k + Chunk)
-        while (k < end) {
-          advance(lane, l, walks.id(k), walks.prev(k), walks.cur(k), walks.hop(k))
-          k += 1
-        }
+      val walks = sweepWalks.part(p).page(c / ChunksPerPage)
+      var k = c % ChunksPerPage * Chunk
+      val end = math.min(walks.length, k + Chunk)
+      while (k < end) {
+        advance(lane, l, walks.id(k), walks.prev(k), walks.cur(k), walks.hop(k))
+        k += 1
       }
     }
+  }
 
   /** Start and advance the walks of chunk `c` of the open `startAll`. */
   private def startChunk(lane: Lane, l: Int, c: Int): Unit = {
@@ -728,7 +487,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
       while (ids(o + 1) <= id) o += 1
       val src = startSrcs(o)
       if (lane.visits != null) lane.visits(src) += 1
-      if (trace != null) lane.log(trace.rangeOf(id)).add(TraceCollector.word(id, src))
+      if (trace != null) trace.put(id, 0, src)
       advance(lane, l, id, -1, src, 0)
       id += 1
     }
@@ -743,7 +502,6 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     val counts = lane.counts
     val marks = if (sweepMarks) lane.marks else null
     val seen = lane.visits
-    val log = if (trace != null) lane.log(trace.rangeOf(id)) else null
     var prev = prev0
     var cur = cur0
     var hop = hop0
@@ -775,9 +533,10 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
           cb = bg.blockOf(z)
           hop += 1
           if (seen != null) seen(z) += 1
-          if (log != null) log.add(TraceCollector.word(id, z))
+          if (trace != null) trace.put(id, hop, z)
           live = !task.stopsAfter(id, hop)
         }
+        if (!live && trace != null) trace.end(id, hop + 1)
       }
       counts(Fields * i + Steps) += steps
       counts(Fields * i + Work) += work
@@ -793,9 +552,8 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     }
   }
 
-  /** Sum the lanes' counts in lane order, count and clear the vertices they
-    * marked in each bucket with arrivals, and hand each lane's trace words
-    * of each range to the corpus.
+  /** Sum the lanes' counts in lane order, and count and clear the vertices
+    * they marked in each bucket with arrivals.
     */
   private def merge(marked: Boolean): Unit = {
     java.util.Arrays.fill(total, 0L)
@@ -813,17 +571,6 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
       if (marked && arrivals(i) > 0)
         total(Fields * i + Touched) = takeMarks(bg.blockStart(i), bg.blockStart(i + 1))
       i += 1
-    }
-    if (trace != null) {
-      l = 0
-      while (l < lanes.length) {
-        val logs = lanes(l).logs
-        if (logs != null) {
-          var r = 0
-          while (r < logs.length) { if (logs(r) != null) trace.take(r, logs(r)); r += 1 }
-        }
-        l += 1
-      }
     }
   }
 
@@ -848,8 +595,8 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     n
   }
 
-  /** End the run: add the lanes' visits, sort the corpus's ranges on the
-    * lanes, one range per chunk, and return the simulated metrics.
+  /** End the run: add the lanes' visits, seal the corpus and return the
+    * simulated metrics.
     */
   def finish(): DiskSim.Metrics = {
     var l = 1
@@ -862,18 +609,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
       }
       l += 1
     }
-    if (trace != null) {
-      val ranges = trace.beginSeal()
-      if (ranges > 0) {
-        job = Seal
-        jobParts = 1
-        completed.set(0)
-        claims.set(0, ranges)
-        runJob(ranges, trace.nWalks)
-        rethrow()
-        trace.endSeal()
-      }
-    }
+    if (trace != null) trace.seal()
     Lanes.rest()
     sim.snapshot
   }
@@ -897,12 +633,6 @@ object Walker {
     */
   final val Extending = 2
 
-  // Lane jobs: a sweep's chunks are records, a start's walk ids, a seal's
-  // walk-id ranges.
-  private final val Sweep = 0
-  private final val Start = 1
-  private final val Seal = 2
-
   // The counts of bucket i are counts(Fields * i + field).
   private final val Arrivals = 0
   private final val Steps = 1
@@ -916,7 +646,7 @@ object Walker {
 
   private final val ChunksPerPage = WalkPart.PageWalks / Chunk
 
-  /** The smallest job worth waking the other lanes for. */
+  /** The smallest sweep worth waking the other lanes for. */
   private final val ParallelMin = 48
 
   /** Ints per cache line: the stride of the per-part claim counters. */

@@ -23,10 +23,11 @@ import repro.walk.WalkTask
   * every record of a time slot's pool, spread over the [[Lanes]], and
   * tallies per bucket what the engine charges afterwards; the lane that
   * steps a walk appends it, if it did not end, to its own part of the pool
-  * the pools' rule names. Lanes share no state: each counts, logs, marks
-  * and pools into its own buffers, and the engine reads only their sums,
-  * minima and unions, so a run's counts, corpus and visits are the
-  * single-threaded ones whatever lane takes a walk. Every engine runs on one current-block loop, the
+  * the pools' rule names, and writes its vertices into the walk's own slot
+  * of the corpus. Lanes share no other state: each counts, marks and pools
+  * into its own buffers, and the engine reads only their sums, minima and
+  * unions, so a run's counts, corpus and visits are the single-threaded ones
+  * whatever lane takes a walk. Every engine runs on one current-block loop, the
   * [[CurrentBlockDriver]], and differs in its strategy, pool rule and slot
   * body. An engine instance keeps no state between runs.
   */
@@ -38,7 +39,9 @@ trait WalkEngine {
     *
     * @param visits optional per-vertex visit accumulator (PRNV estimates)
     * @param trace  optional walk corpus (RWNV/DeepWalk output), holding at
-    *               least `task.totalWalks` walks
+    *               least `task.totalWalks` walks and not passed to an earlier
+    *               run; the run lays it out as `task.maxLen + 1` `Int`s per
+    *               walk and fills it in place
     */
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics

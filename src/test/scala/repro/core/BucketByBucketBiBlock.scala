@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.disk.DiskSim
-import repro.engine.{CurrentBlockDriver, EngineTestKit, Init, Scheduling, TraceCollector, WalkBuffer, WalkEngine, Walker}
+import scala.collection.mutable.ArrayBuffer
+import repro.engine.{CurrentBlockDriver, EngineTestKit, Init, Scheduling, TraceCollector, WalkEngine, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -12,7 +13,10 @@ import repro.walk.WalkTask
   * (η from their count, on demand the vertices they activate), steps them
   * one by one on this thread, charging a light vertex I/O for each
   * non-activated vertex of `i` a step needs, then extends or persists each
-  * survivor (Alg. 2) and logs the load's sample, one bucket at a time.
+  * survivor (Alg. 2) and logs the load's sample, one bucket at a time. A
+  * bucket is a buffer of (id, hop, prev, cur) records; the steps it takes
+  * are written to the corpus through `put`, and a walk's length through
+  * `end` once it ends.
   *
   * With `permuteSeed`, each bucket's records are shuffled under that seed
   * before they step, so a run checks that every count is free of the
@@ -31,7 +35,7 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
     Init.run(walker, driver.pools)
     val rng = permuteSeed.map(new scala.util.Random(_))
 
-    val buckets = Array.fill(nB)(new WalkBuffer)
+    val buckets = Array.fill(nB)(new ArrayBuffer[(Long, Int, Int, Int)])
     var last = Int.MaxValue
     driver.run { (b, walks) =>
       if (b <= last) sim.supersteps += 1
@@ -39,11 +43,11 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
       sim.walkIO(walks.length)
       for ((id, hop, prev, cur) <- EngineTestKit.records(walks)) {
         val pre = bg.blockOf(prev)
-        buckets(if (pre == b) bg.blockOf(cur) else pre).add(id, hop, prev, cur)
+        buckets(if (pre == b) bg.blockOf(cur) else pre) += ((id, hop, prev, cur))
       }
       sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
       for (i <- b + 1 until nB if buckets(i).nonEmpty) {
-        val bucket = rng.fold(buckets(i))(shuffled(buckets(i), _))
+        val bucket = rng.fold(buckets(i).toVector)(_.shuffle(buckets(i).toVector))
         val lo = bg.blockStart(i)
         def inI(v: Int) = v >= 0 && bg.blockOf(v) == i
         val t0 = sim.wallTimeSec
@@ -55,16 +59,15 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
             null
           case BlockLoading.OnDemand =>
             val bits = new java.util.BitSet
-            for (k <- 0 until bucket.length; v <- Seq(bucket.prev(k), bucket.cur(k)) if inI(v))
+            for ((_, _, prev, cur) <- bucket; v <- Seq(prev, cur) if inI(v))
               bits.set(v - lo)
             if (!bits.isEmpty) sim.readVertices(bits.cardinality)
             bits
         }
-        for (k <- 0 until bucket.length) {
-          val id = bucket.id(k)
-          var prev = bucket.prev(k)
-          var cur = bucket.cur(k)
-          var hop = bucket.hop(k)
+        for ((id, hop0, prev0, cur0) <- bucket) {
+          var prev = prev0
+          var cur = cur0
+          var hop = hop0
           var live = true
           while (live && (bg.blockOf(cur) == b || bg.blockOf(cur) == i)) {
             if (resident != null && inI(cur) && !resident.get(cur - lo)) {
@@ -79,26 +82,22 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
               cur = z
               hop += 1
               if (visits != null) visits(z) += 1
-              if (trace != null) trace.step(id, z)
+              if (trace != null) trace.put(id, hop, z)
               live = !task.stopsAfter(id, hop)
             }
           }
           if (live) {
             val cb = bg.blockOf(cur)
-            bucket.update(k, hop, prev, cur)
-            if (cb > i && bg.blockOf(prev) == b) buckets(cb).addFrom(bucket, k) // bucket-extending
-            else { driver.pools.add(math.min(bg.blockOf(prev), cb), bucket, k); sim.walkIO(1) } // skewed storage
-          }
+            if (cb > i && bg.blockOf(prev) == b) buckets(cb) += ((id, hop, prev, cur)) // bucket-extending
+            else { // skewed storage
+              driver.pools.pool(math.min(bg.blockOf(prev), cb)).part(0).add(id, hop, prev, cur)
+              sim.walkIO(1)
+            }
+          } else if (trace != null) trace.end(id, hop + 1)
         }
         buckets(i).clear()
         if (loadLog != null) loadLog.record(i, eta, sim.wallTimeSec - t0)
       }
     }
-  }
-
-  private def shuffled(walks: WalkBuffer, rng: scala.util.Random): WalkBuffer = {
-    val out = new WalkBuffer
-    for (k <- rng.shuffle((0 until walks.length).toVector)) out.addFrom(walks, k)
-    out
   }
 }

@@ -5,7 +5,6 @@ import repro.TestGraphs
 import repro.disk.DiskSim
 import repro.engine.{Init, WalkPools, Walker}
 import repro.engine.EngineTestKit.{checkInvariants, records}
-import repro.engine.TestWalks.walk
 import repro.walk.WalkTask
 
 /** The skewed walk storage (§4.3.1): the kernel routes a walk that leaves
@@ -33,7 +32,7 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
     val task = WalkTask.rwnv(g, walksPerVertex = 1, len = 30)
     val walker = new Walker(bg, task, new DiskSim(), null, null)
     val pools = new WalkPools(bg.nBlocks, skewed = true)
-    for (v <- 20 until 30) pools.add(2, walk(v, prev = v + 10, cur = v, hop = 1), 0)
+    for (v <- 20 until 30) pools.pool(2).part(0).add(v, hop = 1, prev = v + 10, cur = v)
     val walks = pools.drain(2)
     walker.advanceAll(walks, 2, Walker.Extending, marks = false, pools)
     assert(pools.size(1) + pools.size(0) == walker.survivors(3) + walker.survivors(2))
@@ -59,20 +58,20 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
 
   test("checkInvariants passes for valid pools") {
     val pools = new WalkPools(bg.nBlocks, skewed = true)
-    pools.add(0, walk(0, prev = 5, cur = 15, hop = 1), 0)
-    pools.add(0, walk(1, prev = 39, cur = 0, hop = 2), 0)
+    pools.pool(0).part(0).add(0, hop = 1, prev = 5, cur = 15)
+    pools.pool(0).part(0).add(1, hop = 2, prev = 39, cur = 0)
     checkInvariants(bg, pools)
   }
 
   test("checkInvariants rejects a mis-pooled walk") {
     val pools = new WalkPools(bg.nBlocks, skewed = true)
-    pools.add(2, walk(0, prev = 5, cur = 15, hop = 1), 0) // belongs to pool 0
+    pools.pool(2).part(0).add(0, hop = 1, prev = 5, cur = 15) // belongs to pool 0
     assertThrows[IllegalArgumentException](checkInvariants(bg, pools))
   }
 
   test("checkInvariants rejects same-block prev/cur") {
     val pools = new WalkPools(bg.nBlocks, skewed = true)
-    pools.add(0, walk(0, prev = 5, cur = 7, hop = 1), 0)
+    pools.pool(0).part(0).add(0, hop = 1, prev = 5, cur = 7)
     assertThrows[IllegalArgumentException](checkInvariants(bg, pools))
   }
 

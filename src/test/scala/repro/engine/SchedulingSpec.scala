@@ -6,10 +6,8 @@ class SchedulingSpec extends AnyFunSuite {
   /** Pools holding `sizes(b)` walks each, all at hop `hops(b)` (0 if not given). */
   private def pools(sizes: Seq[Int], hops: Seq[Int] = Nil): WalkPools = {
     val p = new WalkPools(sizes.length)
-    val w = new WalkBuffer
-    for ((n, b) <- sizes.zipWithIndex; k <- 0 until n) {
-      w.clear(); w.add(k, if (hops.isEmpty) 0 else hops(b), 1, 2); p.add(b, w, 0)
-    }
+    for ((n, b) <- sizes.zipWithIndex; k <- 0 until n)
+      p.pool(b).part(0).add(k, if (hops.isEmpty) 0 else hops(b), 1, 2)
     p
   }
 

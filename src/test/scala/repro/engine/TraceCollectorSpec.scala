@@ -1,19 +1,22 @@
 package repro.engine
 
+import java.lang.management.ManagementFactory
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.core.{BiBlockEngine, BlockLoading}
 import repro.disk.DiskSim
 import repro.walk.{Node2vecModel, WalkTask}
 
 class TraceCollectorSpec extends AnyFunSuite {
 
-  /** Log every walk of `walks` into a collector, one vertex at a time, in a
-    * random interleaving that keeps each walk's own order (as buckets do),
-    * and seal it.
+  /** Write every walk of `walks` into a collector bound to `maxLen`, one
+    * vertex at a time through `put`, in a random interleaving that keeps
+    * each walk's own order (as buckets do), end each walk, and seal it.
     */
-  private def logged(walks: IndexedSeq[IndexedSeq[Int]], seed: Int): TraceCollector = {
+  private def logged(walks: IndexedSeq[IndexedSeq[Int]], seed: Int, maxLen: Int = 40): TraceCollector = {
     val t = new TraceCollector(walks.length)
+    t.bind(maxLen)
     val next = new Array[Int](walks.length)
     val live = scala.collection.mutable.ArrayBuffer.from(walks.indices.filter(walks(_).nonEmpty))
     val rng = new Random(seed)
@@ -21,9 +24,13 @@ class TraceCollectorSpec extends AnyFunSuite {
       val i = rng.nextInt(live.length)
       val w = live(i)
       val h = next(w)
-      if (h == 0) t.start(w.toLong, walks(w)(h)) else t.step(w.toLong, walks(w)(h))
+      t.put(w.toLong, h, walks(w)(h))
       next(w) += 1
-      if (next(w) == walks(w).length) { live(i) = live.last; live.remove(live.length - 1) }
+      if (next(w) == walks(w).length) {
+        t.end(w.toLong, next(w))
+        live(i) = live.last
+        live.remove(live.length - 1)
+      }
     }
     t.seal()
     t
@@ -41,7 +48,6 @@ class TraceCollectorSpec extends AnyFunSuite {
   test("interleaved starts and steps of many walks seal into per-walk hop order") {
     val rng = new Random(3)
     val walks = IndexedSeq.tabulate(1000)(w => IndexedSeq.fill(1 + w % 41)(rng.nextInt(Int.MaxValue)))
-    assert(walks.map(_.length).sum > 2 * TraceCollector.ChunkSize)
     assertCorpus(logged(walks, seed = 4), walks)
   }
 
@@ -55,34 +61,18 @@ class TraceCollectorSpec extends AnyFunSuite {
 
   test("the last walk id nWalks - 1 is stored, and unlogged walks are empty") {
     val t = new TraceCollector(7)
-    t.start(6L, 42); t.step(6L, 43)
+    t.bind(maxLen = 1)
+    t.put(6L, 0, 42); t.put(6L, 1, 43); t.end(6L, 2)
     t.seal()
     assert(t.path(6).toSeq == Seq(42, 43))
     assert((0 until 6).forall(t.length(_) == 0))
   }
 
-  test("an id outside the corpus fails when the log is sealed") {
+  test("an id outside the corpus fails when it is written") {
     val t = new TraceCollector(3)
-    t.start(3L, 0)
-    val e = intercept[IllegalStateException](t.seal())
-    assert(e.getMessage.contains("walk 3"))
-  }
-
-  test("walks crossing chunk boundaries keep their order") {
-    val c = TraceCollector.ChunkSize
-    for (total <- Seq(c - 1, c, c + 1, 3 * c + 5)) {
-      // Two walks alternate, so each chunk holds both and each walk spans every chunk.
-      val walks = IndexedSeq(IndexedSeq.tabulate((total + 1) / 2)(h => h), IndexedSeq.tabulate(total / 2)(h => 1000000 + h))
-      val t = new TraceCollector(2)
-      var h = 0
-      while (h < walks(0).length) {
-        for (w <- 0 to 1 if h < walks(w).length)
-          if (h == 0) t.start(w.toLong, walks(w)(h)) else t.step(w.toLong, walks(w)(h))
-        h += 1
-      }
-      t.seal()
-      assertCorpus(t, walks)
-    }
+    t.bind(maxLen = 4)
+    assertThrows[IndexOutOfBoundsException](t.put(3L, 0, 0))
+    assertThrows[IndexOutOfBoundsException](t.end(3L, 1))
   }
 
   test("the boxed paths view equals path(w) for every walk") {
@@ -96,7 +86,8 @@ class TraceCollectorSpec extends AnyFunSuite {
 
   test("the corpus cannot be read before it is sealed, nor appended to after") {
     val t = new TraceCollector(2)
-    t.start(0L, 1); t.step(0L, 2)
+    t.bind(maxLen = 3)
+    t.put(0L, 0, 1); t.put(0L, 1, 2); t.end(0L, 2)
     for (read <- Seq(() => t.length(0), () => t.vertex(0, 0), () => t.path(0), () => t.paths)) {
       val e = intercept[IllegalStateException](read())
       assert(e.getMessage.contains("before the run sealed it"))
@@ -104,90 +95,45 @@ class TraceCollectorSpec extends AnyFunSuite {
     t.seal()
     t.seal() // idempotent
     assert(t.path(0).toSeq == Seq(1, 2))
-    val e = intercept[IllegalStateException](t.start(1L, 3))
-    assert(e.getMessage.contains("sealed"))
+    // Only a run writes a corpus, and a sealed one takes no further run.
+    val e = intercept[IllegalStateException](t.bind(maxLen = 3))
+    assert(e.getMessage.contains("records one run"))
+    assert(t.path(0).toSeq == Seq(1, 2))
   }
 
   test("an empty corpus seals to empty walks") {
     val none = new TraceCollector(0)
+    none.bind(maxLen = 5)
     none.seal()
     assert(none.paths.isEmpty)
     val unlogged = new TraceCollector(3)
+    unlogged.bind(maxLen = 5)
     unlogged.seal()
     assert((0 until 3).forall(unlogged.length(_) == 0))
   }
 
-  test("the range seal gives every walk its words for corpora of any size") {
-    // Ranges are 2^k walks, at most 16: 16 and 17 walks straddle ranges of
-    // one and two, 255 and 257 of 16 and 32, and 1000 is no multiple.
-    for (n <- Seq(0, 1, 2, 15, 16, 17, 31, 32, 33, 255, 256, 257, 1000, 4099)) {
-      val rng = new Random(n)
-      val walks = IndexedSeq.tabulate(n)(w => IndexedSeq.fill(w % 7)(rng.nextInt(Int.MaxValue)))
-      val t = logged(walks, seed = n + 1)
-      assert(t.ranges >= 1 && t.ranges <= 16 && (n <= 16 || t.ranges > 8), s"$n walks in ${t.ranges} ranges")
-      assert(n == 0 || t.rangeOf(n - 1L) == t.ranges - 1)
-      assertCorpus(t, walks)
-    }
+  test("a collector passed to a second run throws IllegalStateException") {
+    val bg = TestGraphs.blocked(TestGraphs.connected(60, 150, seed = 5), 4)
+    val task = WalkTask.rwnv(bg.g, walksPerVertex = 1, len = 6)
+    val engine = new BiBlockEngine(BlockLoading.AlwaysFull)
+    val trace = new TraceCollector(task.totalWalks.toInt)
+    engine.run(bg, task, new DiskSim(), null, trace)
+    val first = (0 until trace.nWalks).map(trace.path(_).toSeq)
+    val e = intercept[IllegalStateException](engine.run(bg, task, new DiskSim(), null, trace))
+    assert(e.getMessage.contains("records one run"))
+    assert((0 until trace.nWalks).map(trace.path(_).toSeq) == first)
   }
 
-  test("a walk's words keep their order when they arrive in segments from several lanes and sweeps") {
-    val rng = new Random(12)
-    val n = 1000
-    val walks = IndexedSeq.tabulate(n)(w => IndexedSeq.fill(1 + rng.nextInt(60))(rng.nextInt(Int.MaxValue)))
-    val t = new TraceCollector(n)
-    val next = new Array[Int](n)
-    // Four lanes with a log per range; each sweep takes each walk, on a
-    // random lane, a few steps on; the collector's own words are the starts.
-    val lanes = Array.fill(4, t.ranges)(new TraceLog)
-    for (w <- 0 until n) { t.start(w.toLong, walks(w)(0)); next(w) = 1 }
-    var sweeps = 0
-    while (next.indices.exists(w => next(w) < walks(w).length)) {
-      for (w <- rng.shuffle(next.indices.toVector) if next(w) < walks(w).length) {
-        val log = lanes(rng.nextInt(4))(t.rangeOf(w.toLong))
-        val to = math.min(walks(w).length, next(w) + 1 + rng.nextInt(3))
-        while (next(w) < to) { log.add(TraceCollector.word(w.toLong, walks(w)(next(w)))); next(w) += 1 }
-      }
-      for (lane <- lanes; r <- 0 until t.ranges) t.take(r, lane(r))
-      sweeps += 1
-    }
-    assert(sweeps > 10 && walks.map(_.length).sum > 4 * TraceCollector.ChunkSize)
-    // The ranges may be sorted in any order, each once, before the corpus is published.
-    val ranges = t.beginSeal()
-    for (r <- rng.shuffle((0 until ranges).toVector)) t.sealRange(r)
-    t.endSeal()
-    assertCorpus(t, walks)
-  }
-
-  test("the corpus cannot be read while it is sealed, and no lane words are taken after") {
-    val t = new TraceCollector(40)
-    val log = new TraceLog
-    t.start(33L, 1); log.add(TraceCollector.word(33L, 2))
-    t.take(t.rangeOf(33L), log)
-    assert(t.beginSeal() == t.ranges)
-    for (r <- 0 until t.ranges) t.sealRange(r)
-    intercept[IllegalStateException](t.path(33))
-    t.endSeal()
-    assert(t.beginSeal() == 0) // sealed once
-    assert(t.path(33).toSeq == Seq(1, 2))
-    log.add(TraceCollector.word(33L, 3))
-    val e = intercept[IllegalStateException](t.take(t.rangeOf(33L), log))
-    assert(e.getMessage.contains("sealed"))
-  }
-
-  test("an id outside the corpus fails its range's sort, from the collector or a lane") {
-    for (n <- Seq(3, 40, 1000); bad <- Seq(n.toLong, n + 100L)) {
-      val t = new TraceCollector(n)
-      t.start(0L, 5)
-      t.start(bad, 7)
-      val e = intercept[IllegalStateException](t.seal())
-      assert(e.getMessage == s"walk $bad logged in a corpus of $n walks")
-      val u = new TraceCollector(n)
-      val log = new TraceLog
-      log.add(TraceCollector.word(bad, 7))
-      u.take(u.rangeOf(bad), log)
-      val f = intercept[IllegalStateException](u.seal())
-      assert(f.getMessage == s"walk $bad logged in a corpus of $n walks")
-    }
+  test("a corpus beyond an Int array fails in new Walker before it allocates") {
+    val bg = TestGraphs.blocked(TestGraphs.ring(10), 2)
+    val task = WalkTask("t", Node2vecModel(1, 1), Array((0, 1)), 40, 0.0, 1)
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val trace = new TraceCollector(1 << 26) // 2^26 walks x 41 slots > 2^31
+    val before = mx.getCurrentThreadAllocatedBytes
+    val e = intercept[IllegalArgumentException](new Walker(bg, task, new DiskSim(), null, trace))
+    val allocated = mx.getCurrentThreadAllocatedBytes - before
+    assert(e.getMessage.contains("more than an Int array holds"))
+    assert(allocated < (1 << 20), s"$allocated bytes allocated before the check")
   }
 
   test("a collector must hold every walk of the task") {

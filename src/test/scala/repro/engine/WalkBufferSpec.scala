@@ -10,7 +10,7 @@ import repro.walk.{Node2vecModel, WalkTask}
 class WalkBufferSpec extends AnyFunSuite {
 
   test("a record round-trips every field at its limits") {
-    val b = new WalkBuffer
+    val b = new WalkBuffer(3)
     val maxId = (1L << 40) - 1
     val maxHop = (1 << 24) - 1
     b.add(maxId, maxHop, -1, Int.MaxValue)
@@ -19,53 +19,38 @@ class WalkBufferSpec extends AnyFunSuite {
     assert((b.id(0), b.hop(0), b.prev(0), b.cur(0)) == ((maxId, maxHop, -1, Int.MaxValue)))
     assert((b.id(1), b.hop(1), b.prev(1), b.cur(1)) == ((0L, 0, Int.MaxValue, 0)))
     assert((b.id(2), b.hop(2), b.prev(2), b.cur(2)) == ((maxId, 0, -1, -1)))
-    b.update(0, 7, 3, 4)
-    assert((b.id(0), b.hop(0), b.prev(0), b.cur(0)) == ((maxId, 7, 3, 4)))
-    val c = new WalkBuffer
-    c.addFrom(b, 2)
-    assert((c.id(0), c.hop(0), c.prev(0), c.cur(0)) == ((maxId, 0, -1, -1)))
   }
 
-  test("a buffer grows past its initial capacity and keeps insertion order") {
-    val b = new WalkBuffer
+  test("a page keeps insertion order up to its capacity and never grows") {
+    val b = new WalkBuffer(1000)
     for (k <- 0 until 1000) b.add(k.toLong, k % 7, k - 1, k + 1)
     assert(b.length == 1000)
     assert((0 until 1000).forall(k => b.id(k) == k && b.hop(k) == k % 7 && b.prev(k) == k - 1 && b.cur(k) == k + 1))
+    assertThrows[IndexOutOfBoundsException](b.add(1000L, 0, 0, 0))
     b.clear()
-    assert(b.isEmpty && b.minHop == Int.MaxValue)
-  }
-
-  test("a buffer grows by doubling and fails fast past MaxRecords") {
-    assert(WalkBuffer.grown(32) == 64)
-    assert(WalkBuffer.grown(WalkBuffer.MaxRecords) == 2 * WalkBuffer.MaxRecords)
-    val e = intercept[IllegalArgumentException](WalkBuffer.grown(2 * WalkBuffer.MaxRecords))
-    assert(e.getMessage.contains(s"at most ${WalkBuffer.MaxRecords} records"))
+    assert(b.length == 0 && b.minHop == Int.MaxValue)
   }
 
   test("pools track their minimum hop and reset it on drain") {
     val p = new WalkPools(3)
     def minHops = (0 until 3).map(p.pool(_).minHop)
     assert(minHops == Seq(Int.MaxValue, Int.MaxValue, Int.MaxValue))
-    val w = new WalkBuffer
-    w.add(0, 5, 1, 2); w.add(1, 3, 1, 2); w.add(2, 9, 1, 2)
-    p.add(1, w, 0); p.add(1, w, 1); p.add(2, w, 2)
+    p.pool(1).part(0).add(0, 5, 1, 2); p.pool(1).part(0).add(1, 3, 1, 2); p.pool(2).part(0).add(2, 9, 1, 2)
     assert(minHops == Seq(Int.MaxValue, 3, 9))
     assert((0 until 3).map(p.size) == Seq(0, 2, 1))
     val drained = p.drain(1)
     assert(drained.length == 2 && drained.minHop == 3)
     assert(minHops == Seq(Int.MaxValue, Int.MaxValue, 9))
-    p.add(1, w, 2)
+    p.pool(1).part(0).add(2, 9, 1, 2)
     assert(p.pool(1).minHop == 9)
   }
 
   test("drain recycles the previously drained buffer as an empty pool") {
     val p = new WalkPools(2)
-    val w = new WalkBuffer
-    w.add(0, 1, 1, 2)
-    p.add(0, w, 0)
+    p.pool(0).part(0).add(0, 1, 1, 2)
     val first = p.drain(0)
     assert(first.length == 1 && p.size(0) == 0)
-    p.add(1, w, 0)
+    p.pool(1).part(0).add(0, 1, 1, 2)
     val second = p.drain(1)
     assert(second.length == 1 && first.isEmpty) // `first` is reused ...
     assert(p.pool(1) eq first)                   // ... as pool 1's buffer
