@@ -72,6 +72,14 @@ final class DiskSim(
   var timeSlots: Long = 0
   var supersteps: Long = 0
 
+  /** Lane jobs the run's `Walker` made, and the real nanoseconds its caller
+    * waited for the other lanes after its own chunks. Real-machine counts,
+    * neither priced nor in `Metrics`, so a run's metrics do not depend on
+    * real time.
+    */
+  var laneJobs: Long = 0
+  var laneWaitNanos: Long = 0
+
   /** Charge a block read of `bytes` at disk offset `offset`. */
   def readBlock(offset: Long, bytes: Long): Unit = {
     if (offset == headPos) blockIOSeqCount += 1

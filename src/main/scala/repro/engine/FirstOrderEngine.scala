@@ -14,6 +14,10 @@ import repro.walk.WalkTask
   * the learning-based loading model — that is the "GraSorw" first-order
   * configuration of Table 7, versus "GraSorw-No-LBL" (iteration scheduling,
   * pure full load) and "GraphWalker" (state-aware scheduling, full load).
+  * Under Iteration the driver runs a superstep per lane job, and a walk
+  * that moves into a block later in the pass steps on there at once; under
+  * the other strategies it runs a slot per job. Either way each slot is
+  * charged as one bucket of its own block, with its walk read.
   */
 final class FirstOrderEngine(
     scheduling: Scheduling,
@@ -30,23 +34,23 @@ final class FirstOrderEngine(
     val walker = new Walker(bg, task, sim, visits, trace)
     val driver = new CurrentBlockDriver(walker, scheduling)
 
-    // First-order walks need no initialization pass: they start when their
-    // source block first becomes the current block (GraphWalker behavior).
+    // First-order walks need no initialization pass: each is pooled at its
+    // source block, not yet started, and starts when the lane that first
+    // steps it writes its source (GraphWalker behavior).
     var nextId = 0L
     task.starts.foreach { case (v, count) =>
       val pool = driver.pools.pool(bg.blockOf(v)).part(0)
       var k = 0
       while (k < count) {
-        walker.start(nextId, v, pool)
+        pool.add(nextId, 0, -1, v)
         nextId += 1
         k += 1
       }
     }
 
     // An LBL sample's time covers the whole slot: block load, walk read, steps.
-    driver.run { (b, walks) =>
-      walker.advanceAll(walks, b, Walker.Fixed, marks = policy ne BlockLoading.AlwaysFull, driver.pools)
-      driver.chargeBucket(b, policy, loadLog, reads = walks.length)
+    driver.run(Walker.Fixed, marks = policy ne BlockLoading.AlwaysFull) { (b, _) =>
+      driver.chargeBucket(b, b, policy, loadLog, reads = walker.reads(b))
     }
   }
 }

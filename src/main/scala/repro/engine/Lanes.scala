@@ -3,15 +3,15 @@ package repro.engine
 import java.util.concurrent.atomic.AtomicBoolean
 import java.util.concurrent.locks.LockSupport
 
-/** The lanes `Walker.advanceAll` spreads a large sweep over (the parallel
-  * walk update of §6.3): one per available processor. Lane 0 is the thread
-  * that calls `advanceAll`; lanes 1.. are daemon workers, started on the
-  * first shared sweep. One sweep at a time holds them; a sweep that finds
-  * them held runs on its own caller.
+/** The lanes a `Walker` lane job is spread over (the parallel walk update
+  * of §6.3): one per available processor. Lane 0 is the thread that runs
+  * the job (`advanceAll`, `advanceSuperstep` or `startAll`); lanes 1.. are
+  * daemon workers, started on the first shared job. One job at a time holds
+  * them; a job that finds them held runs on its own caller.
   *
-  * A worker takes chunks of the sweep it was woken for until none is left,
-  * so one that wakes late just takes fewer. Between sweeps it spins for
-  * `SpinNanos`, so the next sweep of a run finds it awake; after that, or
+  * A worker takes chunks of the job it was woken for until none is left,
+  * so one that wakes late just takes fewer. Between jobs it spins for
+  * `SpinNanos`, so the next job of a run finds it awake; after that, or
   * once a run finishes, it parks, and uses no CPU outside `WalkEngine.run`.
   */
 private[engine] object Lanes {
@@ -41,7 +41,7 @@ private[engine] object Lanes {
   }
 
   private val held = new AtomicBoolean
-  // Written only by the holder; `posts` counts the sweeps posted to workers.
+  // Written only by the holder; `posts` counts the jobs posted to workers.
   @volatile private var job: Walker = null
   @volatile private var posts = 0L
   @volatile private var resting = true
@@ -52,8 +52,8 @@ private[engine] object Lanes {
     w
   }
 
-  /** Take the lanes for `walker`'s open sweep and wake them, unless another
-    * sweep holds them.
+  /** Take the lanes for `walker`'s open job and wake them, unless another
+    * job holds them.
     */
   def acquire(walker: Walker): Boolean =
     count > 1 && held.compareAndSet(false, true) && {
@@ -68,7 +68,7 @@ private[engine] object Lanes {
       true
     }
 
-  /** Give the lanes back once the sweep's chunks are all done. */
+  /** Give the lanes back once the job's chunks are all done. */
   def release(): Unit = {
     job = null
     held.set(false)

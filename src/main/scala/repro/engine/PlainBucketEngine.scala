@@ -17,9 +17,9 @@ import repro.walk.WalkTask
   *   - ancillary blocks are charged 0 .. N_B-1 (the jump back to b₀ after
   *     loading the current block is the random block I/O that §7.3 contrasts
   *     with the triangular schedule's sequential loads), each in full;
-  *   - walks advance while inside either in-memory block, in one sweep per
-  *     slot, and each that leaves memory goes to its new current block's
-  *     pool.
+  *   - walks advance while inside either in-memory block, in one lane job
+  *     per slot (GraphWalker's mix picks a slot by pool sizes), and each
+  *     that leaves memory goes to its new current block's pool.
   */
 final class PlainBucketEngine extends WalkEngine {
   def name: String = "PB"
@@ -29,8 +29,8 @@ final class PlainBucketEngine extends WalkEngine {
     val walker = new Walker(bg, task, sim, visits, trace)
     val driver = new CurrentBlockDriver(walker, new Scheduling.GraphWalkerMix())
     Init.run(walker, driver.pools)
-    driver.run { (b, walks) =>
-      driver.sweepBuckets(b, walks, Walker.Pairs, BlockLoading.AlwaysFull, null)
+    driver.run(Walker.Pairs, marks = false) { (b, _) =>
+      driver.chargeBuckets(b, BlockLoading.AlwaysFull, null)
     }
   }
 }

@@ -24,6 +24,13 @@ sealed trait Scheduling {
 
   /** Whether a chosen empty block still incurs a block load. */
   def loadsEmpty: Boolean = false
+
+  /** Whether this is Iteration's order: after block `b`, the lowest
+    * non-empty pool above `b`, else the lowest non-empty pool. A walk
+    * routed to a pool above the current block is then drained later in the
+    * same pass, so the driver runs each pass, a superstep, as one job.
+    */
+  def iterationOrder: Boolean = false
 }
 
 object Scheduling {
@@ -48,6 +55,7 @@ object Scheduling {
   /** Cyclic like Alphabet, but blocks without walks are skipped (§4.1, Alg. 1). */
   final class Iteration extends Scheduling {
     val strategyName = "Iteration"
+    override def iterationOrder = true
     def choose(pools: WalkPools, last: Int, slot: Long): Int =
       Iterator.range(1, pools.nBlocks + 1).map(i => (last + i) % pools.nBlocks)
         .find(pools.size(_) > 0).getOrElse(-1)

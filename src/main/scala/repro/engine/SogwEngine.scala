@@ -51,7 +51,8 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
 
     // Two-slot block memory: a load is free if the block is still resident.
     val resident = new java.util.ArrayDeque[Int](2)
-    driver.run { (b, walks) =>
+    // GraphWalker's mix runs a job per slot, so each slot has its pool.
+    driver.run(Walker.Fixed, marks = false) { (b, walks) =>
       if (!resident.contains(b)) {
         sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
         resident.addLast(b)
@@ -77,9 +78,8 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
           }
         }
       }
-      walker.advanceAll(walks, b, Walker.Fixed, marks = false, driver.pools)
-      walker.chargeSteps(b)
-      sim.walkIO(walker.survivors(b))
+      walker.chargeSteps(b, b)
+      sim.walkIO(walker.survivors(b, b))
     }
   }
 }

@@ -109,7 +109,7 @@ object WalkPart {
 }
 
 /** One block's walk pool, kept in one [[WalkPart]] per [[Lanes]] lane: in a
-  * sweep, lane `l` appends every walk it routes here to part `l`, so no two
+  * lane job, lane `l` appends every walk it routes here to part `l`, so no two
   * lanes write one buffer. Which lane took a walk decides only its part and
   * its place in it, so the record order of a pool may differ run to run;
   * its size, `minHop` and multiset of records do not.
@@ -150,15 +150,20 @@ final class WalkPool private[engine] (parts: Array[WalkPart]) {
   * storage and `min(pb, cb)` in the skewed one (§4.3.1). The kernel routes
   * survivors by it as it steps them. Scheduling strategies read the pools'
   * sizes and each pool's `minHop` (exact, as pools are only appended to and
-  * drained whole).
+  * drained whole). A slot job drains one pool (`drain`), a superstep job
+  * every pool at once (`drainAll`); each swaps in empty pools kept for it,
+  * so the walks it drained can be read while the job fills their places.
   */
 final class WalkPools(val nBlocks: Int, skewed: Boolean = false) {
   // Each lane's parts are allocated together, so parts that different lanes
   // write sit on different cache lines.
-  private val byLane = Array.tabulate(Lanes.count, nBlocks + 1)((_, _) => new WalkPart)
-  private val pools = Array.tabulate(nBlocks)(b => new WalkPool(byLane.map(_(b))))
-  // The pool the last `drain` returned; the next `drain` recycles it.
-  private var drained = new WalkPool(byLane.map(_(nBlocks)))
+  private val byLane = Array.tabulate(Lanes.count, 2 * nBlocks + 1)((_, _) => new WalkPart)
+  private def parts(j: Int) = new WalkPool(byLane.map(_(j)))
+  private var pools = Array.tabulate(nBlocks)(parts)
+  // The pools the last `drainAll` returned, and the pool the last `drain`
+  // returned; the next call of each recycles them.
+  private var spare = Array.tabulate(nBlocks)(b => parts(nBlocks + b))
+  private var drained = parts(2 * nBlocks)
 
   def pool(b: Int): WalkPool = pools(b)
 
@@ -186,6 +191,18 @@ final class WalkPools(val nBlocks: Int, skewed: Boolean = false) {
     drained = out
     out
   }
+
+  /** Remove and return every pool's walks, pool `b` at index `b`, leaving
+    * every pool empty. The returned pools are valid until the next
+    * `drainAll`, which clears them and puts them back as empty pools.
+    */
+  private[engine] def drainAll(): Array[WalkPool] = {
+    val out = pools
+    spare.foreach(_.clear())
+    pools = spare
+    spare = out
+    out
+  }
 }
 
 /** The walk corpus: the full trajectory of every walk of a task, the output
@@ -198,7 +215,7 @@ final class WalkPools(val nBlocks: Int, skewed: Boolean = false) {
   * allocates nothing until `new Walker` binds it to its task's `maxLen`.
   * During the run the lane that starts or steps a walk writes each vertex
   * into the walk's own slot (`put`) and its length once it ends (`end`); a
-  * walk is stepped by one lane per sweep, so no two threads write one slot.
+  * walk is stepped by one lane per job, so no two threads write one slot.
   * `Walker.finish` seals the corpus before `run` returns. Reading it before
   * the seal, or binding it to a second run, throws IllegalStateException.
   */
@@ -267,28 +284,37 @@ final class TraceCollector(val nWalks: Int) {
   }
 }
 
-/** The one walk-step kernel: every engine starts and advances walks through
-  * it, so trajectories are engine-independent (deterministic counter RNG)
-  * and execution cost, visits and traces are recorded uniformly. Walks are
+/** The one walk-step kernel: every engine advances walks through it, so
+  * trajectories are engine-independent (deterministic counter RNG) and
+  * execution cost, visits and traces are recorded uniformly. Walks are
   * records of [[WalkBuffer]]s; the task must fit its id and hop fields, and
   * a corpus, if given, must hold every walk. Engines return `finish()`.
   *
-  * `advanceAll` sweeps the walks of one time slot on every [[Lanes]] lane,
-  * each walk in a bucket (see `Fixed`, `Pairs`, `Extending`), and tallies
-  * per bucket what the engine charges for it afterwards: arrivals, steps,
-  * neighbour work, survivors and, when asked, the vertices of the bucket's
-  * block that a walk activated on arrival or stepped from. The lane that
-  * steps a walk also routes it: a walk that leaves memory goes to the lane's
-  * own part of its next pool, `WalkPools.home` of the blocks it stepped
-  * between. Each walk is a pure function of (task seed, walk id, hop), so
-  * which lane takes it cannot change it. Lanes count and mark into their
-  * own state, which each allocates itself on first use; the caller merges it
-  * in lane order: tallies after each sweep, visit counts in `finish`. Sums,
-  * a set union and a multiset of pooled records do not depend on the lane or
-  * order a walk had, and the corpus is written in place, each vertex into
-  * its walk's own slot by the one lane that holds the walk in a sweep:
-  * every count, corpus and visit vector is the one a single thread gives.
-  * Lane state is allocated once per run.
+  * Walks advance in lane jobs, each spread over every [[Lanes]] lane:
+  * `advanceAll` sweeps the walks of one time slot, `advanceSuperstep` the
+  * walks of every slot of an Iteration superstep, and `startAll` starts
+  * walks and sweeps them in their source blocks (Init). In slot `b` each
+  * walk is in a bucket (see `Fixed`, `Pairs`, `Extending`), and the lanes
+  * tally per (slot, bucket) what the engine charges for it afterwards:
+  * arrivals, steps, neighbour work, survivors and, when asked, the vertices
+  * of the bucket's block that a walk activated on arrival or stepped from;
+  * per slot, the walks read into it. The lane that steps a walk also routes
+  * it: a walk that leaves memory goes to the lane's own part of its next
+  * pool, `WalkPools.home` of the blocks it stepped between, unless a
+  * superstep job still has that pool's slot ahead, where the lane runs it
+  * on at once. A record that never stepped (hop 0) is started by the lane
+  * that first steps it, which writes its source to the visits and corpus.
+  * Each walk is a pure function of (task seed, walk id, hop), so which lane
+  * takes it cannot change it, nor the (slot, bucket) cells it passes
+  * through. Lanes count and mark into their own state, which each allocates
+  * itself on first use; the caller merges it in lane order: tallies after
+  * each job, visit counts in `finish`. Sums, a set union and a multiset of
+  * pooled records do not depend on the lane or order a walk had, and the
+  * corpus is written in place, each vertex into its walk's own slot by the
+  * one lane that holds the walk in a job: every count, corpus and visit
+  * vector is the one a single thread gives. Lane state is allocated once
+  * per run: per lane `nB² × Fields` counts and `nB × ⌈nV/64⌉` mark words,
+  * which must each fit an array.
   */
 final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
                    visits: Array[Long], trace: TraceCollector) {
@@ -299,34 +325,45 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     s"maxLen ${task.maxLen} does not fit a walk record's hop field (< ${WalkBuffer.MaxLen})")
   require(trace == null || trace.nWalks >= task.totalWalks,
     s"a corpus of ${trace.nWalks} walks cannot hold the task's ${task.totalWalks}")
+  require(bg.nBlocks.toLong * bg.nBlocks * Fields <= MaxArray && bg.nBlocks.toLong * words(bg.g.nV) <= MaxArray,
+    s"the per-slot lane tallies and marks of nB = ${bg.nBlocks} blocks over nV = ${bg.g.nV} vertices exceed an array")
   if (trace != null) trace.bind(task.maxLen)
 
   private val g = bg.g
   private val model = task.model
   private val secondOrder = model.isSecondOrder
   private val nB = bg.nBlocks
+  // Slot b's counts start at rowLen * b, its marks at markLen * b.
+  private val rowLen = Fields * nB
+  private val markLen = words(g.nV)
 
-  /** What one lane recorded in the open sweep. Each array is allocated by
+  /** What one lane recorded in the open job. Each array is allocated by
     * the lane's own thread when it first needs it, so lanes write apart.
     */
   private final class Lane(var visits: Array[Long]) {
-    var counts: Array[Long] = null // per bucket, see `Fields`
-    var marks: Array[Long] = null // a bit per vertex
+    var counts: Array[Long] = null // per (slot, bucket), see `Fields`
+    var marks: Array[Long] = null // per slot, a bit per vertex
   }
   private val lanes = Array.tabulate(Lanes.count)(l => new Lane(if (l == 0) visits else null))
-  // The last sweep's counts, summed over lanes.
-  private val total = new Array[Long](Fields * nB)
+  // The last job's counts, summed over lanes, and the slots it entered.
+  private val total = new Array[Long](rowLen * nB)
+  private val entered = new Array[Boolean](nB)
 
-  // The open sweep. The caller writes it before `claims` opens its chunks; a
+  // The open job. The caller writes it before `claims` opens its chunks; a
   // lane reads it only after claiming one, and the caller moves on only
   // once every chunk is `completed`.
   private var starting = false
+  private var forward = false
   private var sweepParts = 1
-  private var sweepWalks: WalkPool = _
-  private var sweepBlock = 0
   private var sweepRule = Fixed
   private var sweepMarks = false
   private var sweepTo: WalkPools = _
+  // Input j holds the walks of slot inSlots(j); part p's chunks of inputs
+  // before j number firstChunk((nB + 1) * p + j).
+  private var nIn = 0
+  private val inSlots = new Array[Int](nB)
+  private val inPools = new Array[WalkPool](nB)
+  private val firstChunk = new Array[Int]((nB + 1) * Lanes.count)
   private var startSrcs: Array[Int] = _
   private var startIds: Array[Long] = _
   private var startFrom = 0L
@@ -336,101 +373,139 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
   private val completed = new AtomicInteger
   private val failure = new AtomicReference[Throwable]
 
-  /** Append walk `id` at `src` to `into` and record its first vertex. */
-  def start(id: Long, src: Int, into: WalkPart): Unit = {
-    if (visits != null) visits(src) += 1
-    if (trace != null) trace.put(id, 0, src)
-    into.add(id, 0, -1, src)
-  }
-
   /** Step every record of `walks` in the time slot whose current block is
     * `b`, while its current block is `b` or its bucket's block (bucket rule
     * `rule`), and route each walk that leaves memory to its pool in `to`; a
     * walk that ended (stuck on a dangling vertex, or stopped by the task) is
     * dropped. `walks` is read, not changed. With `marks`, `touched` counts
-    * the vertices each bucket activated or stepped from. A sweep of at
-    * least `ParallelMin` records runs on every lane unless another sweep
-    * holds them, each lane taking chunks of its own part of `walks` first;
-    * a smaller one runs the same chunk loop on the caller alone. An
-    * exception thrown in a lane is rethrown here, after the sweep.
+    * the vertices each bucket activated or stepped from. A job of at least
+    * `ParallelMin` records runs on every lane unless another job holds
+    * them, each lane taking chunks of its own part of the input first; a
+    * smaller one runs the same chunk loop on the caller alone. An exception
+    * thrown in a lane is rethrown here, after the job.
     */
   def advanceAll(walks: WalkPool, b: Int, rule: Int, marks: Boolean, to: WalkPools): Unit = {
-    sweepWalks = walks
-    open(start = false, walks.nParts, b, rule, marks, to)
-    var chunks = 0
-    var p = 0
-    while (p < walks.nParts) {
-      val n = (walks.part(p).length + Chunk - 1) / Chunk
-      claims.set(Spacing * p, n)
-      chunks += n
-      p += 1
-    }
-    sweep(chunks, walks.length, marks)
+    inSlots(0) = b
+    inPools(0) = walks
+    sweepInputs(1, rule, marks, forward = false, to)
   }
 
-  /** Start walks `from until to` in the time slot whose current block is
-    * `b` and sweep them as `advanceAll` does under rule `Fixed`, on the
-    * lanes, each lane starting the walks of the chunks it claims. Walk `id`
-    * starts at `srcs(o)` for the `o` with `firstIds(o) <= id < firstIds(o +
-    * 1)`; `firstIds` ascends strictly.
+  /** Run one superstep of the Iteration order (Alg. 1) as one job: drain
+    * every pool of `pools` and step each walk in the slot of its pool, as
+    * `advanceAll` does, then on in each slot its pool rule routes it to
+    * above the one it left, so it passes through the superstep's slots in
+    * ascending order. A survivor whose pool is at or below the slot it left
+    * goes to that pool of `pools`, for the next superstep.
     */
-  def startAll(srcs: Array[Int], firstIds: Array[Long], from: Long, to: Long, b: Int, into: WalkPools): Unit = {
+  def advanceSuperstep(pools: WalkPools, rule: Int, marks: Boolean): Unit = {
+    val drained = pools.drainAll()
+    var n = 0
+    var b = 0
+    while (b < nB) {
+      if (drained(b).nonEmpty) { inSlots(n) = b; inPools(n) = drained(b); n += 1 }
+      b += 1
+    }
+    sweepInputs(n, rule, marks, forward = true, pools)
+  }
+
+  /** Open a job over inputs `0 until n` and run it. */
+  private def sweepInputs(n: Int, rule: Int, marks: Boolean, forward: Boolean, to: WalkPools): Unit = {
+    nIn = n
+    open(start = false, Lanes.count, rule, marks, forward, to)
+    var chunks = 0
+    var records = 0
+    var p = 0
+    while (p < Lanes.count) {
+      val at = (nB + 1) * p
+      var j = 0
+      while (j < n) {
+        val part = inPools(j).part(p)
+        records = Math.addExact(records, part.length)
+        firstChunk(at + j + 1) = Math.addExact(firstChunk(at + j), (part.length + Chunk - 1) / Chunk)
+        j += 1
+      }
+      claims.set(Spacing * p, firstChunk(at + n))
+      chunks = Math.addExact(chunks, firstChunk(at + n))
+      p += 1
+    }
+    sweep(chunks, records, marks)
+  }
+
+  /** Start walks `from until to` and sweep them as `advanceAll` does under
+    * rule `Fixed`, each in the slot of its source block, on the lanes, each
+    * lane starting the walks of the chunks it claims. Walk `id` starts at
+    * `srcs(o)` for the `o` with `firstIds(o) <= id < firstIds(o + 1)`;
+    * `firstIds` ascends strictly.
+    */
+  def startAll(srcs: Array[Int], firstIds: Array[Long], from: Long, to: Long, into: WalkPools): Unit = {
     val chunks = (to - from + Chunk - 1) / Chunk
-    require(chunks <= Int.MaxValue, s"${to - from} walks started in one sweep")
+    require(chunks <= Int.MaxValue, s"${to - from} walks started in one job")
     startSrcs = srcs
     startIds = firstIds
     startFrom = from
     startTo = to
-    open(start = true, 1, b, Fixed, marks = false, into)
+    open(start = true, 1, Fixed, marks = false, forward = false, into)
     claims.set(0, chunks.toInt)
     sweep(chunks.toInt, to - from, marks = false)
   }
 
-  /** Set the open sweep's kind and rule; the caller then opens its chunks in
+  /** Set the open job's kind and rule; the caller then opens its chunks in
     * `claims`.
     */
-  private def open(start: Boolean, parts: Int, b: Int, rule: Int, marks: Boolean, to: WalkPools): Unit = {
+  private def open(start: Boolean, parts: Int, rule: Int, marks: Boolean, forward: Boolean, to: WalkPools): Unit = {
     starting = start
     sweepParts = parts
-    sweepBlock = b
     sweepRule = rule
     sweepMarks = marks
+    this.forward = forward
     sweepTo = to
     completed.set(0)
   }
 
-  /** Run the open sweep's `chunks` chunks, on every lane if its `work` is
-    * worth sharing and no other sweep holds them, merge what the lanes
-    * recorded and rethrow an exception a lane caught.
+  /** Run the open job's `chunks` chunks, on every lane if its `work` is
+    * worth sharing and no other job holds them, merge what the lanes
+    * recorded and rethrow an exception a lane caught. Counts the job and
+    * the time the caller waits for the lanes in `sim`.
     */
   private def sweep(chunks: Int, work: Long, marks: Boolean): Unit = {
     val shared = work >= ParallelMin && Lanes.acquire(this)
     runChunks(0)
+    val waited = System.nanoTime()
     while (completed.get < chunks) Thread.onSpinWait()
+    sim.laneWaitNanos += System.nanoTime() - waited
+    sim.laneJobs += 1
     if (shared) Lanes.release()
     merge(marks)
     val e = failure.getAndSet(null)
     if (e != null) throw e
   }
 
-  /** Walks that entered bucket `i` in the last sweep: those that started in
-    * it and those bucket-extending moved into it.
+  /** Walks read into slot `b` in the last job: those of its pool and those
+    * the job moved on into it.
     */
-  def arrivals(i: Int): Int = total(Fields * i + Arrivals).toInt
+  def reads(b: Int): Int = total(rowLen * b + Fields * b + Reads).toInt
 
-  /** Walks of the last sweep that left memory from bucket `i`. */
-  def survivors(i: Int): Int = total(Fields * i + Survivors).toInt
-
-  /** Vertices of block `i` that a walk of bucket `i` activated (its
-    * previous or current vertex on arrival) or stepped from in the last
-    * sweep, if it marked them.
+  /** Walks that entered bucket `i` of slot `b` in the last job: those that
+    * started in it and those bucket-extending moved into it.
     */
-  def touched(i: Int): Int = total(Fields * i + Touched).toInt
+  def arrivals(b: Int, i: Int): Int = total(rowLen * b + Fields * i + Arrivals).toInt
 
-  /** Charge the steps and neighbour work of bucket `i` of the last sweep. */
-  def chargeSteps(i: Int): Unit = sim.chargeSteps(total(Fields * i + Steps), total(Fields * i + Work))
+  /** Walks of the last job that left memory from bucket `i` of slot `b`. */
+  def survivors(b: Int, i: Int): Int = total(rowLen * b + Fields * i + Survivors).toInt
 
-  /** Run chunks of the open sweep as lane `l` until none is left: those of
+  /** Vertices of block `i` that a walk of bucket `i` of slot `b` activated
+    * (its previous or current vertex on arrival) or stepped from in the
+    * last job, if it marked them.
+    */
+  def touched(b: Int, i: Int): Int = total(rowLen * b + Fields * i + Touched).toInt
+
+  /** Charge the steps and neighbour work of bucket `i` of slot `b` of the
+    * last job.
+    */
+  def chargeSteps(b: Int, i: Int): Unit =
+    sim.chargeSteps(total(rowLen * b + Fields * i + Steps), total(rowLen * b + Fields * i + Work))
+
+  /** Run chunks of the open job as lane `l` until none is left: those of
     * part `l` first, then the other parts'.
     */
   private[engine] def runChunks(l: Int): Unit = {
@@ -461,16 +536,26 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
 
   private def runChunk(l: Int, p: Int, c: Int): Unit = {
     val lane = lanes(l)
-    if (lane.counts == null) lane.counts = new Array[Long](Fields * nB)
-    if (sweepMarks && lane.marks == null) lane.marks = new Array[Long]((g.nV + 63) >>> 6)
+    if (lane.counts == null) lane.counts = new Array[Long](rowLen * nB)
+    if (sweepMarks && lane.marks == null) lane.marks = new Array[Long](markLen * nB)
     if (visits != null && lane.visits == null) lane.visits = new Array[Long](g.nV)
     if (starting) startChunk(lane, l, c)
     else {
-      val walks = sweepWalks.part(p).page(c / ChunksPerPage)
-      var k = c % ChunksPerPage * Chunk
+      // The last input whose chunks of part p start at or before c.
+      val at = (nB + 1) * p
+      var j = 0
+      var hi = nIn - 1
+      while (j < hi) {
+        val mid = (j + hi + 1) >>> 1
+        if (firstChunk(at + mid) <= c) j = mid else hi = mid - 1
+      }
+      val k0 = c - firstChunk(at + j)
+      val walks = inPools(j).part(p).page(k0 / ChunksPerPage)
+      val b = inSlots(j)
+      var k = k0 % ChunksPerPage * Chunk
       val end = math.min(walks.length, k + Chunk)
       while (k < end) {
-        advance(lane, l, walks.id(k), walks.prev(k), walks.cur(k), walks.hop(k))
+        advance(lane, l, b, walks.id(k), walks.prev(k), walks.cur(k), walks.hop(k))
         k += 1
       }
     }
@@ -486,18 +571,16 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     while (id < end) {
       while (ids(o + 1) <= id) o += 1
       val src = startSrcs(o)
-      if (lane.visits != null) lane.visits(src) += 1
-      if (trace != null) trace.put(id, 0, src)
-      advance(lane, l, id, -1, src, 0)
+      advance(lane, l, bg.blockOf(src), id, -1, src, 0)
       id += 1
     }
   }
 
-  /** Step walk `id` from (`prev`, `cur`, `hop`) as lane `l` in the open
-    * sweep, tally it, and route it to part `l` of its pool if it survives.
+  /** Step walk `id` from (`prev`, `cur`, `hop`) as lane `l` in slot `b0` of
+    * the open job, and on in later slots if the job moves it on; tally it,
+    * and route it to part `l` of its pool if it survives.
     */
-  private def advance(lane: Lane, l: Int, id: Long, prev0: Int, cur0: Int, hop0: Int): Unit = {
-    val b = sweepBlock
+  private def advance(lane: Lane, l: Int, b0: Int, id: Long, prev0: Int, cur0: Int, hop0: Int): Unit = {
     val rule = sweepRule
     val counts = lane.counts
     val marks = if (sweepMarks) lane.marks else null
@@ -505,77 +588,105 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
     var prev = prev0
     var cur = cur0
     var hop = hop0
+    if (hop == 0) {
+      if (seen != null) seen(cur) += 1
+      if (trace != null) trace.put(id, 0, cur)
+    }
+    var b = b0
     var cb = bg.blockOf(cur)
     var pb = if (rule == Fixed) b else bg.blockOf(prev)
-    var i = if (rule == Fixed || pb != b) pb else cb
     var live = true
-    var moving = true
-    while (moving) {
-      counts(Fields * i + Arrivals) += 1
-      if (marks != null) {
-        val lo = bg.blockStart(i)
-        val hi = bg.blockStart(i + 1)
-        if (prev >= lo && prev < hi) mark(marks, prev)
-        if (cur >= lo && cur < hi) mark(marks, cur)
-      }
-      var steps = 0L
-      var work = 0L
-      while (live && (cb == b || cb == i)) {
-        if (marks != null && cb == i) mark(marks, cur)
-        steps += 1
-        if (secondOrder && prev >= 0) work += g.degree(cur)
-        val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
-        if (z < 0) live = false
-        else {
-          prev = cur
-          cur = z
-          pb = cb
-          cb = bg.blockOf(z)
-          hop += 1
-          if (seen != null) seen(z) += 1
-          if (trace != null) trace.put(id, hop, z)
-          live = !task.stopsAfter(id, hop)
+    var slots = true
+    while (slots) {
+      val row = rowLen * b
+      val markRow = markLen * b
+      counts(row + Fields * b + Reads) += 1
+      var i = if (rule == Fixed || pb != b) pb else cb
+      var moving = true
+      while (moving) {
+        counts(row + Fields * i + Arrivals) += 1
+        if (marks != null) {
+          val lo = bg.blockStart(i)
+          val hi = bg.blockStart(i + 1)
+          if (prev >= lo && prev < hi) mark(marks, markRow, prev)
+          if (cur >= lo && cur < hi) mark(marks, markRow, cur)
         }
-        if (!live && trace != null) trace.end(id, hop + 1)
+        var steps = 0L
+        var work = 0L
+        while (live && (cb == b || cb == i)) {
+          if (marks != null && cb == i) mark(marks, markRow, cur)
+          steps += 1
+          if (secondOrder && prev >= 0) work += g.degree(cur)
+          val z = model.sampleNext(g, prev, cur, task.moveDraw(id, hop))
+          if (z < 0) live = false
+          else {
+            prev = cur
+            cur = z
+            pb = cb
+            cb = bg.blockOf(z)
+            hop += 1
+            if (seen != null) seen(z) += 1
+            if (trace != null) trace.put(id, hop, z)
+            live = !task.stopsAfter(id, hop)
+          }
+          if (!live && trace != null) trace.end(id, hop + 1)
+        }
+        counts(row + Fields * i + Steps) += steps
+        counts(row + Fields * i + Work) += work
+        // Bucket-extending (Alg. 2 l.14): a walk that stepped from b into a
+        // block j beyond i goes on in bucket j.
+        if (live && rule == Extending && pb == b && cb > i) i = cb
+        else moving = false
       }
-      counts(Fields * i + Steps) += steps
-      counts(Fields * i + Work) += work
-      // Bucket-extending (Alg. 2 l.14): a walk that stepped from b into a
-      // block j beyond i goes on in bucket j.
-      if (live && rule == Extending && pb == b && cb > i) i = cb
-      else moving = false
-    }
-    if (live) {
-      // Every survivor stepped in this sweep, so `pb` is its previous block.
-      counts(Fields * i + Survivors) += 1
-      sweepTo.pool(sweepTo.home(pb, cb)).part(l).add(id, hop, prev, cur)
+      slots = false
+      if (live) {
+        // Every survivor stepped in this slot, so `pb` is its previous block.
+        counts(row + Fields * i + Survivors) += 1
+        val h = sweepTo.home(pb, cb)
+        if (forward && h > b) {
+          b = h
+          if (rule == Fixed) pb = b
+          slots = true
+        } else sweepTo.pool(h).part(l).add(id, hop, prev, cur)
+      }
     }
   }
 
-  /** Sum the lanes' counts in lane order, and count and clear the vertices
-    * they marked in each bucket with arrivals.
+  /** Sum the lanes' counts of the slots they read walks into, in lane
+    * order, and count and clear the vertices they marked in each bucket
+    * with arrivals.
     */
   private def merge(marked: Boolean): Unit = {
-    java.util.Arrays.fill(total, 0L)
-    var l = 0
-    while (l < lanes.length) {
-      val counts = lanes(l).counts
-      if (counts != null) {
-        var j = 0
-        while (j < total.length) { total(j) += counts(j); counts(j) = 0; j += 1 }
+    var b = 0
+    while (b < nB) {
+      if (entered(b)) java.util.Arrays.fill(total, rowLen * b, rowLen * (b + 1), 0L)
+      entered(b) = false
+      var l = 0
+      while (l < lanes.length) {
+        val counts = lanes(l).counts
+        if (counts != null && counts(rowLen * b + Fields * b + Reads) > 0) {
+          entered(b) = true
+          var j = rowLen * b
+          while (j < rowLen * (b + 1)) { total(j) += counts(j); counts(j) = 0; j += 1 }
+        }
+        l += 1
       }
-      l += 1
-    }
-    var i = 0
-    while (i < nB) {
-      if (marked && arrivals(i) > 0)
-        total(Fields * i + Touched) = takeMarks(bg.blockStart(i), bg.blockStart(i + 1))
-      i += 1
+      if (marked && entered(b)) {
+        var i = 0
+        while (i < nB) {
+          if (arrivals(b, i) > 0)
+            total(rowLen * b + Fields * i + Touched) = takeMarks(markLen * b, bg.blockStart(i), bg.blockStart(i + 1))
+          i += 1
+        }
+      }
+      b += 1
     }
   }
 
-  /** Count the vertices in `lo until hi` that any lane marked, and unmark them. */
-  private def takeMarks(lo: Int, hi: Int): Int = {
+  /** Count the vertices in `lo until hi` that any lane marked in the slot
+    * whose marks start at `row`, and unmark them.
+    */
+  private def takeMarks(row: Int, lo: Int, hi: Int): Int = {
     var n = 0
     var w = lo >>> 6
     while (w << 6 < hi) {
@@ -586,7 +697,7 @@ final class Walker(val bg: BlockedGraph, val task: WalkTask, val sim: DiskSim,
       var l = 0
       while (l < lanes.length) {
         val m = lanes(l).marks
-        if (m != null) { x |= m(w) & bits; m(w) &= ~bits }
+        if (m != null) { x |= m(row + w) & bits; m(row + w) &= ~bits }
         l += 1
       }
       n += java.lang.Long.bitCount(x)
@@ -633,26 +744,34 @@ object Walker {
     */
   final val Extending = 2
 
-  // The counts of bucket i are counts(Fields * i + field).
+  // The counts of bucket i of slot b are counts(Fields * (nB * b + i) + field);
+  // a slot's reads are kept in its own bucket's cell.
   private final val Arrivals = 0
   private final val Steps = 1
   private final val Work = 2
   private final val Survivors = 3
-  private final val Touched = 4 // summed only, set by `merge`
-  private final val Fields = 5
+  private final val Reads = 4
+  private final val Touched = 5 // summed only, set by `merge`
+  private final val Fields = 6
+
+  /** The JDK's soft maximum array length. */
+  private[engine] final val MaxArray = Int.MaxValue - 8
 
   /** Records a lane claims at a time. */
   private[engine] final val Chunk = 12
 
   private final val ChunksPerPage = WalkPart.PageWalks / Chunk
 
-  /** The smallest sweep worth waking the other lanes for. */
+  /** The smallest job worth waking the other lanes for. */
   private final val ParallelMin = 48
 
   /** Ints per cache line: the stride of the per-part claim counters. */
   private final val Spacing = 16
 
-  @inline private def mark(marks: Array[Long], v: Int): Unit = marks(v >>> 6) |= 1L << v
+  /** Words of a bitmap of `n` bits. */
+  private def words(n: Int): Int = (n + 63) >>> 6
+
+  @inline private def mark(marks: Array[Long], row: Int, v: Int): Unit = marks(row + (v >>> 6)) |= 1L << v
 }
 
 /** Walk initialization (paper Appendix B): iterate the blocks once
@@ -663,12 +782,13 @@ object Walker {
   */
 object Init {
 
-  /** Walks started per sweep, which keeps a sweep's chunk count an `Int`. */
+  /** Walks started per job, which keeps a job's chunk count an `Int`. */
   private final val Batch = 1L << 30
 
-  /** Runs initialization: the lanes start the walks and route every
-    * survivor (its current vertex is outside its source block) to its pool
-    * in `pools`.
+  /** Runs initialization: the lanes start the walks in one job and route
+    * every survivor (its current vertex is outside its source block) to its
+    * pool in `pools`; each source block is then charged its load, its time
+    * slot and its walks' steps, in ascending order.
     */
   def run(walker: Walker, pools: WalkPools): Unit = {
     val bg = walker.bg
@@ -703,20 +823,25 @@ object Init {
     j = 0
     while (j < srcs.length) { firstIds(j + 1) = firstIds(j) + counts(j); j += 1 }
 
+    // Each source block with walks is charged its load and time slot, and,
+    // after each job, the steps of its walks, whose tallies are in its slot
+    // and bucket.
     var b = 0
     while (b < bg.nBlocks) {
       if (first(b) < first(b + 1)) {
         sim.readBlock(bg.blockOffset(b), bg.blockBytes(b))
         sim.timeSlots += 1
-        var from = firstIds(first(b))
-        while (from < firstIds(first(b + 1))) {
-          val to = math.min(firstIds(first(b + 1)), from + Batch)
-          walker.startAll(srcs, firstIds, from, to, b, pools)
-          walker.chargeSteps(b)
-          from = to
-        }
       }
       b += 1
+    }
+    val n = firstIds(srcs.length)
+    var from = 0L
+    while (from < n) {
+      val to = math.min(n, from + Batch)
+      walker.startAll(srcs, firstIds, from, to, pools)
+      b = 0
+      while (b < bg.nBlocks) { walker.chargeSteps(b, b); b += 1 }
+      from = to
     }
   }
 }

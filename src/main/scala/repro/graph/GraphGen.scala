@@ -154,10 +154,21 @@ object GraphGen {
   /** Barabási–Albert preferential attachment: each new vertex attaches `m`
     * edges to endpoints sampled from the degree-proportional repeated-node
     * list. The process is inherently sequential, so it is generated locally
-    * and handed to Spark as one row of two arrays (documented substitution —
-    * NetworkX in the paper is also a sequential in-memory generator).
+    * (`barabasiAlbertEdges`) and handed to Spark as one row of two arrays
+    * (documented substitution — NetworkX in the paper is also a sequential
+    * in-memory generator).
     */
   def barabasiAlbert(spark: SparkSession, nV: Int, m: Int, seed: Long): DataFrame = {
+    val (srcs, dsts) = barabasiAlbertEdges(nV, m, seed)
+    import spark.implicits._
+    Seq((srcs, dsts)).toDF("src", "dst").select(inline(arrays_zip(col("src"), col("dst"))))
+  }
+
+  /** `barabasiAlbert`'s ordered edge list as (sources, destinations),
+    * without Spark: the seed clique over vertices `0 .. m`, then each later
+    * vertex's `m` edges.
+    */
+  def barabasiAlbertEdges(nV: Int, m: Int, seed: Long): (Array[Int], Array[Int]) = {
     require(nV > m && m >= 1, "need nV > m >= 1")
     val nEdges = m * (m + 1) / 2 + (nV - m - 1) * m
     val rng = new java.util.Random(seed)
@@ -182,7 +193,6 @@ object GraphGen {
       chosen.foreach(add(v, _))
       v += 1
     }
-    import spark.implicits._
-    Seq((srcs, dsts)).toDF("src", "dst").select(inline(arrays_zip(col("src"), col("dst"))))
+    (srcs, dsts)
   }
 }

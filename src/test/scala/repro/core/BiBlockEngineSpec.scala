@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.disk.DiskSim
 import repro.engine.{EngineTestKit, PlainBucketEngine}
 import repro.walk.WalkTask
 import EngineTestKit._
@@ -66,6 +67,17 @@ class BiBlockEngineSpec extends AnyFunSuite {
   test("time slots never exceed supersteps x (N_B - 1)") {
     val r = runTraced(new BiBlockEngine(), bg, rwnv)
     assert(r.m.timeSlots <= (r.m.supersteps + 1) * (bg.nBlocks - 1) + bg.nBlocks)
+  }
+
+  test("a run makes one lane job for Init and at most one per superstep") {
+    val big = TestGraphs.blocked(TestGraphs.connected(3000, 24000, seed = 71), 12)
+    for (task <- Seq(WalkTask.rwnv(big.g, walksPerVertex = 1, len = 40), WalkTask.prnv(big.g, seed = 5))) {
+      val sim = new DiskSim()
+      val m = new BiBlockEngine().run(big, task, sim)
+      assert(m.supersteps > 1 && m.timeSlots > m.supersteps + big.nBlocks, task.name)
+      assert(sim.laneJobs >= 1 && sim.laneJobs <= m.supersteps + 1, s"${task.name}: ${sim.laneJobs} jobs")
+      assert(sim.laneWaitNanos >= 0)
+    }
   }
 
   test("learned policy run matches full/on-demand trajectories and completes") {

@@ -103,9 +103,9 @@ class BlockLoadingModelSpec extends AnyFunSuite {
     val trace = new TraceCollector(3)
     val walker = new Walker(bg, task, s, null, trace)
     val pools = new WalkPools(bg.nBlocks)
-    for (id <- 0L until 3L) walker.start(id, 12, pools.pool(1).part(0))
+    for (id <- 0L until 3L) pools.pool(1).part(0).add(id, 0, -1, 12)
     walker.advanceAll(pools.drain(1), 1, Walker.Fixed, marks = true, pools)
-    val (arrivals, touched) = (walker.arrivals(1), walker.touched(1))
+    val (arrivals, touched) = (walker.arrivals(1, 1), walker.touched(1, 1))
     // The corpus holds walks that ended: run those that left block 1 to
     // their ends. The sweep of block 1 stepped from each walk's prefix in
     // block 1, its last vertex excepted.

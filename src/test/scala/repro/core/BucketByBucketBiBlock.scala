@@ -2,7 +2,7 @@ package repro.core
 
 import repro.disk.DiskSim
 import scala.collection.mutable.ArrayBuffer
-import repro.engine.{CurrentBlockDriver, EngineTestKit, Init, Scheduling, TraceCollector, WalkEngine, Walker}
+import repro.engine.{EngineTestKit, Init, Scheduling, TraceCollector, WalkEngine, WalkPools, Walker}
 import repro.graph.BlockedGraph
 import repro.walk.WalkTask
 
@@ -31,13 +31,19 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
     val g = bg.g
     val nB = bg.nBlocks
     val walker = new Walker(bg, task, sim, visits, trace)
-    val driver = new CurrentBlockDriver(walker, new Scheduling.Iteration, skewed = true)
-    Init.run(walker, driver.pools)
+    val pools = new WalkPools(nB, skewed = true)
+    Init.run(walker, pools)
     val rng = permuteSeed.map(new scala.util.Random(_))
 
     val buckets = Array.fill(nB)(new ArrayBuffer[(Long, Int, Int, Int)])
+    // Iteration's slot loop, one drained pool per time slot.
+    val iteration = new Scheduling.Iteration
     var last = Int.MaxValue
-    driver.run { (b, walks) =>
+    var slot = 0L
+    var b = iteration.choose(pools, -1, slot)
+    while (b >= 0) {
+      val walks = pools.drain(b)
+      sim.timeSlots += 1
       if (b <= last) sim.supersteps += 1
       last = b
       sim.walkIO(walks.length)
@@ -90,7 +96,7 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
             val cb = bg.blockOf(cur)
             if (cb > i && bg.blockOf(prev) == b) buckets(cb) += ((id, hop, prev, cur)) // bucket-extending
             else { // skewed storage
-              driver.pools.pool(math.min(bg.blockOf(prev), cb)).part(0).add(id, hop, prev, cur)
+              pools.pool(math.min(bg.blockOf(prev), cb)).part(0).add(id, hop, prev, cur)
               sim.walkIO(1)
             }
           } else if (trace != null) trace.end(id, hop + 1)
@@ -98,6 +104,9 @@ final class BucketByBucketBiBlock(policy: BlockLoading.Policy, loadLog: LoadLogC
         buckets(i).clear()
         if (loadLog != null) loadLog.record(i, eta, sim.wallTimeSec - t0)
       }
+      slot += 1
+      b = iteration.choose(pools, b, slot)
     }
+    walker.finish()
   }
 }

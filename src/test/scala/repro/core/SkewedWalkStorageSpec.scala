@@ -35,7 +35,7 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
     for (v <- 20 until 30) pools.pool(2).part(0).add(v, hop = 1, prev = v + 10, cur = v)
     val walks = pools.drain(2)
     walker.advanceAll(walks, 2, Walker.Extending, marks = false, pools)
-    assert(pools.size(1) + pools.size(0) == walker.survivors(3) + walker.survivors(2))
+    assert(pools.size(1) + pools.size(0) == walker.survivors(2, 3) + walker.survivors(2, 2))
     assert(pools.size(1) + pools.size(0) > 0 && pools.size(2) == 0 && pools.size(3) == 0)
     checkInvariants(bg, pools)
   }

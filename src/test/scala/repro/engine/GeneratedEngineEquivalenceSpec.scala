@@ -6,7 +6,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.{BiBlockEngine, BlockLoading, BucketByBucketBiBlock, LoadLogCollector}
-import repro.graph.{BlockedGraph, CsrGraph}
+import repro.graph.{BlockedGraph, CsrGraph, GraphGen}
 import repro.walk.WalkTask
 import EngineTestKit._
 
@@ -14,15 +14,18 @@ import EngineTestKit._
   * graph shape and size, block count and task are drawn from a fixed seed.
   * Every second-order engine must give the reference engine's corpus and
   * visits, and the bi-block engine must keep the bounds of its schedule;
-  * every first-order engine must agree on DeepWalk.
+  * every first-order engine must agree on DeepWalk. The bi-block and the
+  * Iteration first-order engine, which run a superstep per lane job, must
+  * also give the charges of a reference that runs one slot at a time.
   */
 class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
   import GeneratedEngineEquivalenceSpec.Input
 
   private val graphs: Gen[(String, CsrGraph)] = for {
     n <- Gen.choose(20, 300)
-    shape <- Gen.oneOf("er", "star", "wheel", "path", "clique")
+    shape <- Gen.oneOf("er", "star", "wheel", "path", "clique", "ba")
     m <- Gen.choose(n / 2, 2 * n)
+    attach <- Gen.choose(2, 6)
     seed <- Gen.long
   } yield shape match {
     case "er"     => s"er($n, $m, $seed)" -> TestGraphs.er(n, m, seed) // leaves isolated vertices
@@ -30,6 +33,11 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
     case "wheel"  => s"wheel($n)" -> TestGraphs.wheel(n)
     case "path"   => s"path($n)" -> TestGraphs.path(n)
     case "clique" => s"clique($n)" -> TestGraphs.clique(n)
+    // Preferential attachment: hubs cut by most blocks, so walks move on
+    // through several slots of a superstep.
+    case "ba" =>
+      val (srcs, dsts) = GraphGen.barabasiAlbertEdges(n, attach, seed)
+      s"ba($n, $attach, $seed)" -> CsrGraph.fromEdges(n, srcs, dsts)
   }
 
   // 0.01 and 100 make the return or the far neighbours 100 times likelier.
@@ -74,14 +82,15 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
     assert(result.passed, result.status)
   }
 
+  private val deepwalks: Gen[Input] = for {
+    (name, g) <- graphs
+    nBlocks <- Gen.oneOf(Gen.choose(1, math.min(g.nV, 8)), Gen.choose(1, g.nV))
+    seed <- Gen.long
+    walks <- Gen.choose(1, 2)
+    len <- Gen.choose(1, 12)
+  } yield Input(name, g, nBlocks, WalkTask.deepwalk(g, walksPerVertex = walks, len = len, seed = seed))
+
   test("first-order engines agree on DeepWalk over generated inputs") {
-    val deepwalks: Gen[Input] = for {
-      (name, g) <- graphs
-      nBlocks <- Gen.oneOf(Gen.choose(1, math.min(g.nV, 8)), Gen.choose(1, g.nV))
-      seed <- Gen.long
-      walks <- Gen.choose(1, 2)
-      len <- Gen.choose(1, 12)
-    } yield Input(name, g, nBlocks, WalkTask.deepwalk(g, walksPerVertex = walks, len = len, seed = seed))
     val prop = Prop.forAllNoShrink(deepwalks) { in =>
       val bg = BlockedGraph.sequential(in.g, in.nBlocks)
       val runs = firstOrderEngines.map(e => (e, runTraced(e, bg, in.task)))
@@ -119,6 +128,28 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
         )
       }
       Prop.all(checks: _*)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  test("the Iteration first-order engine's metrics and LBL samples equal the slot-by-slot reference's") {
+    val prop = Prop.forAllNoShrink(deepwalks) { in =>
+      val bg = BlockedGraph.sequential(in.g, in.nBlocks)
+      // Full, on-demand, and the bi-block check's mixed learned policy.
+      val learned = new BlockLoading.Learned(Array.tabulate(bg.nBlocks)(i =>
+        Seq(0.0, Double.PositiveInfinity, 0.5)(i % 3)))
+      Prop.all(Seq(BlockLoading.AlwaysFull, BlockLoading.AlwaysOnDemand, learned).map { policy =>
+        def run(engine: LoadLogCollector => WalkEngine) = {
+          val log = new LoadLogCollector
+          val r = runTraced(engine(log), bg, in.task)
+          (r.m, log.samples.toList, corpus(r.trace), r.visits.toSeq)
+        }
+        val jobs = run(new FirstOrderEngine(new Scheduling.Iteration, policy, _))
+        val reference = run(new SlotBySlotFirstOrder(policy, _))
+        (jobs == reference) :| s"$policy: FirstOrder ${jobs._1} ${jobs._2} vs reference ${reference._1} ${reference._2}"
+      }: _*)
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
     val result = Test.check(params, prop)

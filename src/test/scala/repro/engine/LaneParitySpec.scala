@@ -138,10 +138,10 @@ class LaneParitySpec extends AnyFunSuite {
       for (j <- g.offsets(bad) until g.offsets(bad + 1))
         broken.neighbors(j) = if (fails) g.nV + 1 else g.neighbors(j)
       val walks = starts.drain(0)
-      for (v <- bg.blockStart(0) until bg.blockStart(1)) walker.start(v.toLong, v, walks.part(0))
+      for (v <- bg.blockStart(0) until bg.blockStart(1)) walks.part(0).add(v.toLong, 0, -1, v)
       val routed = new WalkPools(bg.nBlocks)
       walker.advanceAll(walks, 0, Walker.Fixed, marks = false, routed)
-      walker.chargeSteps(0)
+      walker.chargeSteps(0, 0)
       routed
     }
     // The routed records as a multiset: which lane pools a walk is timing.

@@ -5,7 +5,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.{BiBlockEngine, BlockLoading}
 import repro.disk.DiskSim
-import repro.walk.{Node2vecModel, WalkTask}
+import repro.graph.{BlockedGraph, CsrGraph}
+import repro.walk.{DeepWalkModel, Node2vecModel, WalkTask}
 
 class WalkBufferSpec extends AnyFunSuite {
 
@@ -71,6 +72,20 @@ class WalkBufferSpec extends AnyFunSuite {
     def task(maxLen: Int) = WalkTask("long", Node2vecModel(1, 1), Array((0, 1)), maxLen, 0.0, 1)
     new Walker(bg, task((1 << 24) - 1), new DiskSim(), null, null)
     assertThrows[IllegalArgumentException](new Walker(bg, task(1 << 24), new DiskSim(), null, null))
+  }
+
+  test("Walker rejects per-slot lane state beyond an array before it allocates") {
+    // An edgeless graph of 400,000 one-vertex blocks: a lane would need
+    // 400,000² x 6 counts and 400,000 x 6,250 mark words.
+    val nV = 400000
+    val bg = new BlockedGraph(CsrGraph.fromEdges(nV, Array.empty[Int], Array.empty[Int]), Array.range(0, nV + 1))
+    val task = WalkTask("t", DeepWalkModel, Array((0, 1)), 10, 0.0, 1)
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = mx.getCurrentThreadAllocatedBytes
+    val e = intercept[IllegalArgumentException](new Walker(bg, task, new DiskSim(), null, null))
+    val allocated = mx.getCurrentThreadAllocatedBytes - before
+    assert(e.getMessage.contains(s"nB = $nV") && e.getMessage.contains(s"nV = $nV"), e.getMessage)
+    assert(allocated < (1 << 20), s"$allocated bytes allocated before the check")
   }
 
   /** Bytes allocated so far by each live thread, by thread id. */

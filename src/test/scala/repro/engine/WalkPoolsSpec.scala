@@ -52,7 +52,7 @@ class WalkPoolsSpec extends AnyFunSuite {
         val walks = pools.drain(0)
         assert(walks.length >= 48) // a sweep worth sharing
         walker.advanceAll(walks, 0, Walker.Extending, marks = true, pools)
-        val tallies = (0 until bg.nBlocks).map(i => (walker.arrivals(i), walker.survivors(i), walker.touched(i)))
+        val tallies = (0 until bg.nBlocks).map(i => (walker.arrivals(0, i), walker.survivors(0, i), walker.touched(0, i)))
         val afterSlot = (0 until bg.nBlocks).map(b => (pools.size(b), pools.pool(b).minHop, records(pools.pool(b)).sorted))
         val inPart0 = (0 until bg.nBlocks).forall(b => pools.size(b) == pools.pool(b).part(0).length)
         (afterInit, tallies, afterSlot, inPart0)
