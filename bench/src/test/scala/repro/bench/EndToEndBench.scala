@@ -8,8 +8,7 @@ package repro.bench
 class EndToEndBench extends BenchSpec {
   private lazy val rows = Tables.endToEndRows()
 
-  private def get(d: String, t: String, s: String) =
-    rows.find(r => r.dataset == d && r.taskKind == t && r.system == s).get.m
+  private def get(d: String, t: String, s: String) = Tables.metrics(rows, d, t, s)
 
   private val datasets = Seq("LJ", "TW", "FR", "UK", "Kron29", "CW")
 

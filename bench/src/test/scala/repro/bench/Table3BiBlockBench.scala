@@ -8,11 +8,8 @@ package repro.bench
 class Table3BiBlockBench extends BenchSpec {
   private lazy val rows = Tables.table3Rows()
 
-  private def pair(dataset: String, task: String) = {
-    val pb = rows.find(r => r.dataset == dataset && r.taskKind == task && r.engine == "PB").get
-    val bi = rows.find(r => r.dataset == dataset && r.taskKind == task && r.engine == "Bi-Block").get
-    (pb.m, bi.m)
-  }
+  private def pair(dataset: String, task: String) =
+    (Tables.metrics(rows, dataset, task, "PB"), Tables.metrics(rows, dataset, task, "Bi-Block"))
 
   private val cases =
     for (d <- Seq("LJ", "TW", "FR", "UK", "Kron29", "CW"); t <- Seq("RWNV", "PRNV")) yield (d, t)
@@ -54,7 +51,7 @@ class Table3BiBlockBench extends BenchSpec {
   }
 
   test("both bucket engines eliminate light vertex I/Os entirely") {
-    rows.foreach(r => assert(r.m.vertexIOCount == 0, s"${r.dataset} ${r.taskKind} ${r.engine}"))
+    rows.foreach(r => assert(r.m.vertexIOCount == 0, r.labels.mkString(" ")))
   }
 
   test("block I/O counts land within 2.5x of the paper's absolute numbers (RWNV)") {

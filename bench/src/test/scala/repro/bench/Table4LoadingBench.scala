@@ -9,8 +9,7 @@ package repro.bench
 class Table4LoadingBench extends BenchSpec {
   private lazy val rows = Tables.table4Rows()
 
-  private def get(d: String, p: String, l: String) =
-    rows.find(r => r.dataset == d && r.partition == p && r.loader == l).get.m
+  private def get(d: String, p: String, l: String) = Tables.metrics(rows, d, p, l)
 
   test("Table 4 renders") {
     printTable("Table 4: block loading methods x partitions (RWNV)", Tables.renderTable4(rows))

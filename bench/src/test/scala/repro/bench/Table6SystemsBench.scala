@@ -10,8 +10,7 @@ package repro.bench
 class Table6SystemsBench extends BenchSpec {
   private lazy val rows = Tables.table6Rows()
 
-  private def wall(d: String, t: String, s: String) =
-    rows.find(r => r.dataset == d && r.taskKind == t && r.system == s).get.wallSec
+  private def wall(d: String, t: String, s: String) = Tables.metrics(rows, d, t, s).wallTimeSec
 
   test("Table 6 renders") {
     printTable("Table 6: wall time of the three systems on synthetic graphs",
@@ -27,7 +26,7 @@ class Table6SystemsBench extends BenchSpec {
   }
 
   test("GraSorw wins every PRNV workload (paper: 2.4x-8.8x)") {
-    for (d <- rows.map(_.dataset).distinct) {
+    for (d <- rows.map(_.labels.head).distinct) {
       assert(wall(d, "PRNV", "GraSorw") < wall(d, "PRNV", "SOGW"), d)
       assert(wall(d, "PRNV", "GraSorw") < wall(d, "PRNV", "SGSC"), d)
     }
@@ -47,7 +46,7 @@ class Table6SystemsBench extends BenchSpec {
   }
 
   test("RWNV is heavier than PRNV on every system (workload sanity)") {
-    for (d <- rows.map(_.dataset).distinct; s <- Seq("SOGW", "SGSC", "GraSorw"))
+    for (d <- rows.map(_.labels.head).distinct; s <- Seq("SOGW", "SGSC", "GraSorw"))
       assert(wall(d, "RWNV", s) > wall(d, "PRNV", s), s"$d $s")
   }
 }

@@ -9,7 +9,7 @@ package repro.bench
 class Table7FirstOrderBench extends BenchSpec {
   private lazy val rows = Tables.table7Rows()
 
-  private def get(d: String, s: String) = rows.find(r => r.dataset == d && r.system == s).get.m
+  private def get(d: String, s: String) = Tables.metrics(rows, d, s)
   private val datasets = Seq("LJ", "TW", "FR", "UK")
 
   test("Table 7 renders") {

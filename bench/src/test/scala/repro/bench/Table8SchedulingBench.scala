@@ -8,7 +8,7 @@ package repro.bench
 class Table8SchedulingBench extends BenchSpec {
   private lazy val rows = Tables.table8Rows()
 
-  private def get(d: String, s: String) = rows.find(r => r.dataset == d && r.strategy == s).get.m
+  private def get(d: String, s: String) = Tables.metrics(rows, d, s)
   private val datasets = Seq("LJ", "TW", "FR", "UK")
 
   test("Table 8 renders") {

@@ -16,9 +16,8 @@ object Tables {
 
   // ---- workloads -------------------------------------------------------
 
-  /** RWNV at lite scale: 2 walks/vertex (paper: 10); length 80 on the real
-    * analogs (paper's length) and 40 on the synthetic family (runtime; the
-    * σ_W bridge accounts for both reductions).
+  /** RWNV at lite scale: 2 walks/vertex (paper: 10) of length 80 (the
+    * paper's) on every graph; the σ_W bridge accounts for the fewer walks.
     */
   def task(spec: GraphSpec, kind: String)(implicit spark: SparkSession): WalkTask = {
     val g = Datasets.csr(spec)
@@ -119,55 +118,69 @@ object Tables {
     })
   }
 
+  // ---- run rows and metric columns ------------------------------------
+
+  /** One memoized engine run under the labels its table prints for it,
+    * such as (graph, task, engine) or (graph, strategy).
+    */
+  final case class Row(labels: Seq[String], m: DiskSim.Metrics)
+
+  /** One table column: its header and the cell it prints for a row. */
+  final case class Column(header: String, cell: Row => String)
+
+  /** The metrics of the row labelled `labels`. */
+  def metrics(rows: Seq[Row], labels: String*): DiskSim.Metrics =
+    rows.find(_.labels == labels)
+      .getOrElse(throw new NoSuchElementException(s"no row ${labels.mkString(" ")}")).m
+
+  /** The label columns, then one column per entry of `columns`. */
+  def render(labelHeaders: Seq[String], columns: Seq[Column], rows: Seq[Row]): String =
+    grid(labelHeaders ++ columns.map(_.header), rows.map(r => r.labels ++ columns.map(_.cell(r))))
+
+  private def secs(header: String, f: DiskSim.Metrics => Double) = Column(header, r => fmt(f(r.m)))
+
+  private val wall = secs("Wall(s)", _.wallTimeSec)
+  private val exec = secs("Exec(s)", _.execTimeSec)
+  private val ioSecs = secs("I/O(s)", _.ioTimeSec)
+  private val blockIOSecs = secs("BlockIO(s)", _.blockIOTimeSec)
+  private val blockIOs = Column("BlockIO#", _.m.blockIOCount.toString)
+  private val onDemandSecs = secs("OD-IO(s)", _.vertexIOTimeSec)
+  private val onDemandIOs = Column("OD-IO#", _.m.vertexIOCount.toString)
+
+  private val secondOrderTasks = Seq("RWNV", "PRNV")
+  private val systems = Seq("SOGW", "SGSC", "GraSorw")
+
+  /** Every (graph, task, engine) run under the sequential partition. */
+  private def runs(specs: Seq[GraphSpec], engines: Seq[String])(implicit spark: SparkSession): Seq[Row] =
+    for (spec <- specs; taskKind <- secondOrderTasks; engine <- engines)
+      yield Row(Seq(spec.name, taskKind, engine), run(spec, "seq", taskKind, engine))
+
   // ---- Table 3: PB vs Bi-Block ----------------------------------------
 
-  final case class T3Row(dataset: String, taskKind: String, engine: String, m: DiskSim.Metrics)
+  def table3Rows()(implicit spark: SparkSession): Seq[Row] = runs(Datasets.real, Seq("PB", "Bi-Block"))
 
-  def table3Rows()(implicit spark: SparkSession): Seq[T3Row] =
-    for {
-      spec <- Datasets.real
-      taskKind <- Seq("RWNV", "PRNV")
-      engine <- Seq("PB", "Bi-Block")
-    } yield T3Row(spec.name, taskKind, engine, run(spec, "seq", taskKind, engine))
+  private def p3(r: Row) = PaperNumbers.table3((r.labels(0), r.labels(1), r.labels(2)))
 
-  def renderTable3(rows: Seq[T3Row]): String = {
-    val header = Seq("Graph", "Task", "Engine", "Wall(s)", "Exec(s)", "BlockIO#", "BlockIO(s)",
-                     "p.Wall", "p.Exec", "p.BIO#", "p.BIO(s)")
-    grid(header, rows.map { r =>
-      val p = PaperNumbers.table3((r.dataset, r.taskKind, r.engine))
-      Seq(r.dataset, r.taskKind, r.engine,
-          fmt(r.m.wallTimeSec), fmt(r.m.execTimeSec),
-          r.m.blockIOCount.toString, fmt(r.m.blockIOTimeSec),
-          fmt(p._1), fmt(p._2), p._3.toString, fmt(p._4))
-    })
-  }
+  def renderTable3(rows: Seq[Row]): String =
+    render(Seq("Graph", "Task", "Engine"), Seq(wall, exec, blockIOs, blockIOSecs,
+      Column("p.Wall", r => fmt(p3(r)._1)), Column("p.Exec", r => fmt(p3(r)._2)),
+      Column("p.BIO#", r => p3(r)._3.toString), Column("p.BIO(s)", r => fmt(p3(r)._4))), rows)
 
   // ---- Table 4: loading methods x partitions (RWNV) -------------------
 
-  final case class T4Row(dataset: String, partition: String, loader: String, m: DiskSim.Metrics)
-
-  def table4Rows()(implicit spark: SparkSession): Seq[T4Row] =
+  def table4Rows()(implicit spark: SparkSession): Seq[Row] =
     for {
       spec <- Seq(Datasets.tw, Datasets.uk)
-      partition <- Seq("seq", "locality")
-      loader <- Seq("Full", "Learned")
-    } yield {
-      val engine = if (loader == "Full") "Bi-Block" else "GraSorw"
-      T4Row(spec.name, if (partition == "seq") "Seq" else "METIS", loader,
-            run(spec, partition, "RWNV", engine))
-    }
+      (partition, partitionLabel) <- Seq("seq" -> "Seq", "locality" -> "METIS")
+      (loader, engine) <- Seq("Full" -> "Bi-Block", "Learned" -> "GraSorw")
+    } yield Row(Seq(spec.name, partitionLabel, loader), run(spec, partition, "RWNV", engine))
 
-  def renderTable4(rows: Seq[T4Row]): String = {
-    val header = Seq("Graph", "Partition", "Loader", "Wall(s)", "Exec(s)", "BlockIO(s)", "BlockIO#",
-                     "OD-IO(s)", "OD-IO#", "p.Wall", "p.BIO#", "p.OD#")
-    grid(header, rows.map { r =>
-      val p = PaperNumbers.table4((r.dataset, r.partition, r.loader))
-      Seq(r.dataset, r.partition, r.loader,
-          fmt(r.m.wallTimeSec), fmt(r.m.execTimeSec), fmt(r.m.blockIOTimeSec),
-          r.m.blockIOCount.toString, fmt(r.m.vertexIOTimeSec), r.m.vertexIOCount.toString,
-          fmt(p._1), p._4.toString, p._6.toString)
-    })
-  }
+  private def p4(r: Row) = PaperNumbers.table4((r.labels(0), r.labels(1), r.labels(2)))
+
+  def renderTable4(rows: Seq[Row]): String =
+    render(Seq("Graph", "Partition", "Loader"),
+      Seq(wall, exec, blockIOSecs, blockIOs, onDemandSecs, onDemandIOs, Column("p.Wall", r => fmt(p4(r)._1)),
+        Column("p.BIO#", r => p4(r)._4.toString), Column("p.OD#", r => p4(r)._6.toString)), rows)
 
   // ---- Table 5: synthetic statistics ----------------------------------
 
@@ -187,94 +200,52 @@ object Tables {
 
   // ---- Table 6: three systems on the synthetic family -----------------
 
-  final case class T6Row(dataset: String, taskKind: String, system: String, wallSec: Double)
+  def table6Rows()(implicit spark: SparkSession): Seq[Row] = runs(Datasets.synthetic, systems)
 
-  def table6Rows()(implicit spark: SparkSession): Seq[T6Row] =
-    for {
-      spec <- Datasets.synthetic
-      taskKind <- Seq("RWNV", "PRNV")
-      system <- Seq("SOGW", "SGSC", "GraSorw")
-    } yield T6Row(spec.name, taskKind, system,
-                  run(spec, "seq", taskKind, system).wallTimeSec)
-
-  def renderTable6(rows: Seq[T6Row]): String = {
-    val header = Seq("Graph", "Task", "SOGW", "SGSC", "GraSorw",
-                     "p.SOGW", "p.SGSC", "p.GraSorw")
-    val grouped = rows.groupBy(r => (r.dataset, r.taskKind))
-    val ordered = for {
-      spec <- Datasets.synthetic
-      tk <- Seq("RWNV", "PRNV")
-    } yield {
-      val g = grouped((spec.name, tk)).map(r => r.system -> r.wallSec).toMap
-      Seq(spec.name, tk, fmt(g("SOGW")), fmt(g("SGSC")), fmt(g("GraSorw")),
-          fmt(PaperNumbers.table6((spec.name, tk, "SOGW"))),
-          fmt(PaperNumbers.table6((spec.name, tk, "SGSC"))),
-          fmt(PaperNumbers.table6((spec.name, tk, "GraSorw"))))
-    }
-    grid(header, ordered)
-  }
+  /** One line per (graph, task), with each system's wall time in a column. */
+  def renderTable6(rows: Seq[Row]): String =
+    grid(Seq("Graph", "Task") ++ systems ++ systems.map("p." + _),
+      rows.map(_.labels.take(2)).distinct.map { case k @ Seq(d, t) =>
+        k ++ systems.map(s => fmt(metrics(rows, d, t, s).wallTimeSec)) ++
+          systems.map(s => fmt(PaperNumbers.table6((d, t, s))))
+      })
 
   // ---- End-to-end (Figure 8 analog): three systems on real graphs -----
 
-  final case class E2ERow(dataset: String, taskKind: String, system: String, m: DiskSim.Metrics)
+  def endToEndRows()(implicit spark: SparkSession): Seq[Row] = runs(Datasets.real, systems)
 
-  def endToEndRows()(implicit spark: SparkSession): Seq[E2ERow] =
-    for {
-      spec <- Datasets.real
-      taskKind <- Seq("RWNV", "PRNV")
-      system <- Seq("SOGW", "SGSC", "GraSorw")
-    } yield E2ERow(spec.name, taskKind, system, run(spec, "seq", taskKind, system))
-
-  def renderEndToEnd(rows: Seq[E2ERow]): String = {
-    val header = Seq("Graph", "Task", "System", "Wall(s)", "Exec(s)", "I/O(s)", "Speedup-vs-SOGW")
-    val bySys = rows.groupBy(r => (r.dataset, r.taskKind))
-    grid(header, rows.map { r =>
-      val sogw = bySys((r.dataset, r.taskKind)).find(_.system == "SOGW").get.m.wallTimeSec
-      Seq(r.dataset, r.taskKind, r.system, fmt(r.m.wallTimeSec), fmt(r.m.execTimeSec),
-          fmt(r.m.ioTimeSec), fmt(sogw / r.m.wallTimeSec) + "x")
-    })
-  }
+  def renderEndToEnd(rows: Seq[Row]): String =
+    render(Seq("Graph", "Task", "System"), Seq(wall, exec, ioSecs, Column("Speedup-vs-SOGW", r =>
+      fmt(metrics(rows, r.labels(0), r.labels(1), "SOGW").wallTimeSec / r.m.wallTimeSec) + "x")), rows)
 
   // ---- Table 7: first-order engines -----------------------------------
-
-  final case class T7Row(dataset: String, system: String, m: DiskSim.Metrics)
 
   private val t7Systems =
     Seq("GraphWalker" -> "FO:GraphWalker", "GraSorw-No-LBL" -> "FO:Iteration", "GraSorw" -> "FO-GraSorw")
 
-  def table7Rows()(implicit spark: SparkSession): Seq[T7Row] =
+  def table7Rows()(implicit spark: SparkSession): Seq[Row] =
     for {
       spec <- Seq(Datasets.lj, Datasets.tw, Datasets.fr, Datasets.uk)
       (label, kind) <- t7Systems
-    } yield T7Row(spec.name, label, run(spec, "seq", "DeepWalk", kind))
+    } yield Row(Seq(spec.name, label), run(spec, "seq", "DeepWalk", kind))
 
-  def renderTable7(rows: Seq[T7Row]): String = {
-    val header = Seq("Graph", "System", "Wall(s)", "Exec(s)", "BlockIO(s)",
-                     "p.Wall", "p.Exec", "p.BIO(s)")
-    grid(header, rows.map { r =>
-      val p = PaperNumbers.table7((r.dataset, r.system))
-      Seq(r.dataset, r.system, fmt(r.m.wallTimeSec), fmt(r.m.execTimeSec),
-          fmt(r.m.blockIOTimeSec), fmt(p._1), fmt(p._2), fmt(p._3))
-    })
-  }
+  private def p7(r: Row) = PaperNumbers.table7((r.labels(0), r.labels(1)))
+
+  def renderTable7(rows: Seq[Row]): String =
+    render(Seq("Graph", "System"), Seq(wall, exec, blockIOSecs, Column("p.Wall", r => fmt(p7(r)._1)),
+      Column("p.Exec", r => fmt(p7(r)._2)), Column("p.BIO(s)", r => fmt(p7(r)._3))), rows)
 
   // ---- Table 8: scheduling strategies ---------------------------------
 
-  final case class T8Row(dataset: String, strategy: String, m: DiskSim.Metrics)
-
   val t8Strategies = Seq("Alphabet", "Iteration", "Min-Height", "Max-Sum", "GraphWalker")
 
-  def table8Rows()(implicit spark: SparkSession): Seq[T8Row] =
+  def table8Rows()(implicit spark: SparkSession): Seq[Row] =
     for {
       spec <- Seq(Datasets.lj, Datasets.tw, Datasets.fr, Datasets.uk)
       strat <- t8Strategies
-    } yield T8Row(spec.name, strat, run(spec, "seq", "DeepWalk", s"FO:$strat"))
+    } yield Row(Seq(spec.name, strat), run(spec, "seq", "DeepWalk", s"FO:$strat"))
 
-  def renderTable8(rows: Seq[T8Row]): String = {
-    val header = Seq("Graph", "Strategy", "BlockIO#", "BlockIO(s)", "p.BlockIO#")
-    grid(header, rows.map { r =>
-      Seq(r.dataset, r.strategy, r.m.blockIOCount.toString, fmt(r.m.blockIOTimeSec),
-          PaperNumbers.table8((r.dataset, r.strategy)).toString)
-    })
-  }
+  def renderTable8(rows: Seq[Row]): String =
+    render(Seq("Graph", "Strategy"), Seq(blockIOs, blockIOSecs,
+      Column("p.BlockIO#", r => PaperNumbers.table8((r.labels(0), r.labels(1))).toString)), rows)
 }

@@ -4,9 +4,12 @@ import repro.walk.Rng
 
 /** Current-block scheduling strategies (Appendix A).
   *
-  * Strategies are consulted once per time slot with the walk pools and
-  * return the next current block, or -1 when no walk remains. They keep no
-  * state: the [[CurrentBlockDriver]] passes the previous choice, so one
+  * The [[CurrentBlockDriver]] consults a strategy once per time slot with
+  * the walk pools, and it returns the next current block, or -1 when no
+  * walk remains. Iteration is the exception: the driver runs its order as
+  * whole supersteps and never calls its `choose`; only the slot-by-slot
+  * test references (`BucketByBucketBiBlock`, `SlotBySlotFirstOrder`) do.
+  * Strategies keep no state: the driver passes the previous choice, so one
   * strategy serves any number of runs. `loadsEmpty` distinguishes the
   * Alphabet algorithm (which visits — and loads — blocks in cyclic order
   * whether or not they hold walks) from the Iteration-based method

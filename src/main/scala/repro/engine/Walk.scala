@@ -774,11 +774,13 @@ object Walker {
   @inline private def mark(marks: Array[Long], row: Int, v: Int): Unit = marks(row + (v >>> 6)) |= 1L << v
 }
 
-/** Walk initialization (paper Appendix B): iterate the blocks once
-  * sequentially; start each walk at its source and advance it until it
-  * leaves its source block or terminates. Afterwards no live walk has its
-  * previous and current vertex in the same block — the invariant both the
-  * skewed storage and the asynchronous update rely on.
+/** Walk initialization (paper Appendix B): one lane job starts each walk
+  * at its source and advances it until it leaves its source block or
+  * terminates. Each source block with walks is charged its load, time slot
+  * and steps in ascending block order, as one sequential pass over the
+  * blocks would charge them. Afterwards no live walk has its previous and
+  * current vertex in the same block — the invariant both the skewed
+  * storage and the asynchronous update rely on.
   */
 object Init {
 

@@ -6,6 +6,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.{BiBlockEngine, BlockLoading, BucketByBucketBiBlock, LoadLogCollector}
+import repro.disk.DiskSim
 import repro.graph.{BlockedGraph, CsrGraph, GraphGen}
 import repro.walk.WalkTask
 import EngineTestKit._
@@ -13,10 +14,11 @@ import EngineTestKit._
 /** [[EngineEquivalenceSpec]] over generated inputs rather than a fixed list:
   * graph shape and size, block count and task are drawn from a fixed seed.
   * Every second-order engine must give the reference engine's corpus and
-  * visits, and the bi-block engine must keep the bounds of its schedule;
-  * every first-order engine must agree on DeepWalk. The bi-block and the
-  * Iteration first-order engine, which run a superstep per lane job, must
-  * also give the charges of a reference that runs one slot at a time.
+  * visits, the bi-block engine must keep the bounds of its schedule, and
+  * Init must leave the skewed storage's invariants; every first-order
+  * engine must agree on DeepWalk. The bi-block and the Iteration
+  * first-order engine, which run a superstep per lane job, must also give
+  * the charges of a reference that runs one slot at a time.
   */
 class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
   import GeneratedEngineEquivalenceSpec.Input
@@ -75,7 +77,14 @@ class GeneratedEngineEquivalenceSpec extends AnyFunSuite {
           ((m.timeSlots <= (m.supersteps + 1) * (nB - 1) + nB) :|
             s"${e.name}: ${m.timeSlots} time slots in ${m.supersteps} supersteps")
       }
-      Prop.all(agree ++ bounds: _*)
+      // Init leaves the skewed storage's invariants (Appendix B): each walk
+      // sits in pool min(B(prev), B(cur)) of two different blocks, so the
+      // top pool stays empty.
+      val pools = new WalkPools(nB, skewed = true)
+      Init.run(new Walker(bg, in.task, new DiskSim(), null, null), pools)
+      checkInvariants(bg, pools)
+      val topEmpty = (pools.size(nB - 1) == 0) :| s"${pools.size(nB - 1)} walks in the top pool after Init"
+      Prop.all(agree ++ bounds :+ topEmpty: _*)
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(20220701L))
     val result = Test.check(params, prop)
